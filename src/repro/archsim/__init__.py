@@ -17,13 +17,13 @@ or the authors' simulator, so this package builds the equivalent pipeline:
   LRU / FIFO / seeded-random fast paths;
 * :mod:`~repro.archsim.hierarchy` — the two-level L1/L2/memory system
   (per-record and array variants, statistics bit-identical);
-* :mod:`~repro.archsim.multiconfig` — the batched calibration engine:
-  simulates a whole (L1, L2) configuration grid in one trace sweep with
-  generated fused kernels, bit-identical per point to
-  :class:`ArrayTwoLevelHierarchy`;
+* :mod:`~repro.archsim.multiconfig` — the batched FIFO/random
+  calibration engine: simulates a whole (L1, L2) configuration grid in
+  one trace sweep with generated fused kernels, bit-identical per point
+  to :class:`ArrayTwoLevelHierarchy`;
 * :mod:`~repro.archsim.stats` — hit/miss accounting;
 * :mod:`~repro.archsim.missmodel` — an analytical miss-rate model
-  calibrated against the simulator (parallel + disk-memoized), used by
+  calibrated against the simulator (disk-memoized), used by
   the optimisers so that design sweeps don't re-simulate millions of
   accesses per candidate;
 * :mod:`~repro.archsim.stackdist` — Mattson stack-distance profiling in
@@ -31,8 +31,7 @@ or the authors' simulator, so this package builds the equivalent pipeline:
   predicts the whole miss-rate-vs-size curve);
 * :mod:`~repro.archsim.setdist` — the per-set generalisation: one
   contraction-cascade pass answers every set-associative (size, assoc)
-  LRU point exactly, the engine behind ``estimator="setdist"``
-  calibration;
+  LRU point exactly, the engine behind LRU calibration;
 * :mod:`~repro.archsim.amat` — average memory access time.
 """
 
@@ -68,10 +67,7 @@ from repro.archsim.workloads import (
     TPCC_LIKE,
     STANDARD_WORKLOADS,
 )
-from repro.archsim.multiconfig import (
-    MultiConfigHierarchyEngine,
-    simulate_configurations,
-)
+from repro.archsim.multiconfig import MultiConfigHierarchyEngine
 from repro.archsim.missmodel import (
     MissRateModel,
     blended_miss_model,
@@ -110,7 +106,6 @@ __all__ = [
     "HierarchyResult",
     "simulate_hierarchy",
     "MultiConfigHierarchyEngine",
-    "simulate_configurations",
     "WorkloadSpec",
     "synthetic_trace",
     "synthetic_trace_buffer",

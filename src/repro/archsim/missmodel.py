@@ -13,19 +13,19 @@ L2 64 B blocks / 8-way, the L2 curve measured behind a 16 KB L1).  The
 test suite re-measures them against a live simulation with a tolerance,
 so the table cannot silently drift from the simulator.
 
-Calibration itself is engineered for scale: the default
-``engine="multiconfig"`` path simulates the *entire* (level, size) grid
-in one sweep over the trace
-(:class:`~repro.archsim.multiconfig.MultiConfigHierarchyEngine` — one
-address decode, shared set indices, the reference L1 in front of the L2
-grid simulated once), bit-identical to the per-point ``engine="array"``
-fallback at a fraction of the cost.  ``jobs=N`` fans lane-coherent
-shards of the grid over a ``ProcessPoolExecutor``, every worker
-streaming chunks of one shared memory-mapped trace (materialised once,
-never regenerated per point), and the measured curves are memoised on
-disk keyed by a fingerprint of every input (workload spec, trace
-length, seed, grids, reference shapes, engine) — a warm re-calibration
-is a file read.
+Calibration takes one exact route per replacement policy.  LRU grids
+are answered by one per-set Mattson pass over the trace
+(:func:`_setdist_rates`, :mod:`repro.archsim.setdist`), whose cost does
+not grow with the number of grid points; FIFO and random grids by one
+:class:`~repro.archsim.multiconfig.MultiConfigHierarchyEngine` sweep
+(:func:`_multiconfig_rates` — one address decode, shared set indices,
+the reference L1 in front of the L2 grid simulated once).  Both are
+bit-identical to one
+:class:`~repro.archsim.hierarchy.ArrayTwoLevelHierarchy` run per point,
+the oracle the test suite compares them against.  The measured curves
+are memoised on disk keyed by a fingerprint of every input (workload
+spec, trace length, seed, grids, reference shapes, policy) — a warm
+re-calibration is a file read.
 
 Note the L2 *local* miss-rate convention: misses over L2 accesses.  The
 curves bake in the reference L1's filtering; Section 5's experiments vary
@@ -48,23 +48,17 @@ Two axes beyond the original calibration contract:
 from __future__ import annotations
 
 import math
-import os
-import shutil
-import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.archsim.hierarchy import ArrayTwoLevelHierarchy, TwoLevelHierarchy
 from repro.archsim.multiconfig import MultiConfigHierarchyEngine
-from repro.archsim.trace import TraceBuffer
+from repro.archsim.setdist import _DEPTH_CAP_LIMIT
 from repro.archsim.workloads import (
     STANDARD_WORKLOADS,
     WorkloadSpec,
-    synthetic_trace,
     synthetic_trace_buffer,
 )
 from repro.cache.config import CacheConfig
@@ -172,14 +166,13 @@ class MissRateModel:
 
 
 #: Bump when measurement semantics change: it is folded into the disk
-#: fingerprint, so stale cached curves can never be served.  Format 8:
-#: the ``"stackdist"`` estimator derives its L2 curve from the
-#: reconstructed write-back event stream (exact, replacing the
-#: denominator-scaled demand approximation).  Format 7 made
-#: associativity a real grid axis (``l1_assocs`` / ``l2_assocs``);
-#: format 6 added the ``"setdist"`` estimator; format 5 the replacement
-#: policy and canonical fingerprint parts.
-_CALIBRATION_FORMAT = 8
+#: fingerprint, so stale cached curves can never be served.  Format 9:
+#: one route per policy, so the engine and estimator tags left the
+#: fingerprint.  Format 8 made the stackdist estimator's L2 curve
+#: exact; format 7 made associativity a real grid axis (``l1_assocs`` /
+#: ``l2_assocs``); format 6 added the setdist estimator; format 5 the
+#: replacement policy and canonical fingerprint parts.
+_CALIBRATION_FORMAT = 9
 
 #: Replacement policies the calibration engines support.
 _POLICIES = ("lru", "fifo", "random")
@@ -229,44 +222,19 @@ def _point_configs(
     )
 
 
-def _measure_point(
-    spec: WorkloadSpec,
-    level: str,
-    kb: int,
-    n_accesses: int,
-    seed: int,
-    engine: str,
-    policy: str = "lru",
-    assoc: Optional[int] = None,
-) -> float:
-    """Simulate one (level, size) point; returns its local miss rate.
-
-    Module-level so :class:`ProcessPoolExecutor` workers can pickle it.
-    """
-    l1_config, l2_config = _point_configs(level, kb, assoc)
-    if engine == "array":
-        result = ArrayTwoLevelHierarchy(l1_config, l2_config, policy).run(
-            synthetic_trace_buffer(spec, n_accesses, seed=seed, block_bytes=64)
-        )
-    else:
-        result = TwoLevelHierarchy(l1_config, l2_config, policy).run(
-            synthetic_trace(spec, n_accesses, seed=seed, block_bytes=64)
-        )
-    return result.l1_miss_rate if level == "l1" else result.l2_local_miss_rate
-
-
 def _multiconfig_rates(
-    points: Sequence[Tuple], trace, policy: str = "lru"
+    points: Sequence[Tuple], trace, policy: str
 ) -> List[float]:
-    """Simulate every (level, size[, assoc]) point in one sweep.
+    """FIFO or random rates for every (level, size[, assoc]) point in one sweep.
 
     L1-curve points only contribute their L1 miss rate, so their shared
     reference L2 is elided entirely (``l2_config=None``): the engine
     simulates each distinct L1 shape once as a lane and the reference L1
     feeding the whole L2 grid once, instead of one full hierarchy per
-    point.  Rates are bit-identical to per-point ``engine="array"`` runs
-    under every policy: random-policy rng streams live per cache (not
-    per shard), so the sweep matches each point's own seeded draws.
+    point.  Rates are bit-identical to per-point
+    :class:`~repro.archsim.hierarchy.ArrayTwoLevelHierarchy` runs:
+    random-policy rng streams live per cache, so the sweep matches each
+    point's own seeded draws.
     """
     normalized = [_normalize_point(point) for point in points]
     engine_points = []
@@ -282,89 +250,17 @@ def _multiconfig_rates(
     ]
 
 
-def _load_trace_files(addresses_path: str, writes_path: str) -> TraceBuffer:
-    """Memory-map a materialised trace (see :func:`_materialize_trace`).
-
-    ``mmap_mode="r"`` keeps the arrays backed by the page cache, so N
-    pool workers share one physical copy of the trace instead of
-    regenerating (or unpickling) it N times.
-    """
-    return TraceBuffer(
-        np.load(addresses_path, mmap_mode="r"),
-        np.load(writes_path, mmap_mode="r"),
-    )
-
-
-def _measure_shard(
-    shard: Sequence[Tuple],
-    addresses_path: str,
-    writes_path: str,
-    engine: str,
-    policy: str = "lru",
-) -> List[float]:
-    """Worker entry: rates for one shard of the grid off the shared trace."""
-    trace = _load_trace_files(addresses_path, writes_path)
-    if engine == "multiconfig":
-        return _multiconfig_rates(shard, trace, policy)
-    rates = []
-    for point in shard:
-        level, kb, assoc = _normalize_point(point)
-        l1_config, l2_config = _point_configs(level, kb, assoc)
-        result = ArrayTwoLevelHierarchy(l1_config, l2_config, policy).run(
-            trace
-        )
-        rates.append(
-            result.l1_miss_rate if level == "l1"
-            else result.l2_local_miss_rate
-        )
-    return rates
-
-
-def _shard_points(
-    points: Sequence[Tuple], jobs: int
-) -> List[List[Tuple]]:
-    """Partition grid points into at most ``jobs`` lane-coherent shards.
-
-    Points sharing an L1 shape stay together (all L2-curve points sit
-    behind the one reference L1), so no worker re-simulates a lane
-    another worker already owns; each L2-curve point costs roughly one
-    follower, so shards are balanced greedily by point count.
-    """
-    groups: Dict[Tuple[int, int, int], List[Tuple]] = {}
-    for point in points:
-        level, kb, assoc = _normalize_point(point)
-        l1_config, _ = _point_configs(level, kb, assoc)
-        key = (
-            l1_config.size_bytes,
-            l1_config.block_bytes,
-            l1_config.associativity,
-        )
-        groups.setdefault(key, []).append(point)
-    shards: List[List[Tuple]] = [[] for _ in range(jobs)]
-    for group in sorted(groups.values(), key=len, reverse=True):
-        min(shards, key=len).extend(group)
-    return [shard for shard in shards if shard]
-
-
 def _calibration_fingerprint(
     spec: WorkloadSpec,
     n_accesses: int,
     seed: int,
     l1_grid_kb: Sequence[int],
     l2_grid_kb: Sequence[int],
-    engine: str,
-    estimator: str,
     policy: str,
     l1_assocs: Sequence[int],
     l2_assocs: Sequence[int],
 ) -> str:
-    """Fold every input that determines the curves into one string.
-
-    The engine tag participates: ``"multiconfig"`` and ``"array"``
-    produce bit-identical curves, but keying them separately keeps the
-    invalidation contract trivial — any semantic divergence ever
-    introduced between engines can never serve a stale entry.
-    """
+    """Fold every input that determines the curves into one string."""
     return make_fingerprint(
         _CALIBRATION_FORMAT,
         spec,
@@ -374,89 +270,9 @@ def _calibration_fingerprint(
         tuple(l2_grid_kb),
         (REFERENCE_L1_BLOCK, REFERENCE_L1_ASSOC, REFERENCE_L1_KB),
         (REFERENCE_L2_BLOCK, REFERENCE_L2_ASSOC, REFERENCE_L2_KB),
-        engine,
-        estimator,
         policy,
         tuple(l1_assocs),
         tuple(l2_assocs),
-    )
-
-
-def _stackdist_estimate(
-    spec: WorkloadSpec,
-    n_accesses: int,
-    seed: int,
-    l1_grid_kb: Sequence[int],
-    l2_grid_kb: Sequence[int],
-) -> MissRateModel:
-    """Estimate both curves from one stack-distance pass over the trace.
-
-    Mattson's inclusion property turns a single O(n log n) profile into
-    the miss rate of *every* fully-associative LRU capacity at once, so
-    the L1 grid costs one profiling pass instead of one simulation per
-    point.  The price at L1 is a model mismatch — the grid path
-    simulates the real set-associative shapes — quantified by the test
-    suite; it is the cheap first look, not the calibration of record.
-
-    The L2 *local* curve no longer approximates: the reference L1's
-    demand-miss + dirty-write-back event stream is reconstructed
-    exactly (:func:`~repro.archsim.setdist.reference_event_stream`) and
-    that stream's *own* reuse distances are profiled per set at the
-    reference L2 shape, so the write-back stream's distinct reuse
-    behaviour is modelled directly instead of scaling the demand
-    denominator by a measured write-back ratio.  The stream is a small
-    fraction of the trace, so the extra cascade is cheap; the resulting
-    curve matches the simulation grid bit-for-bit (the historical
-    ~0.006 positive bias is closed), pinned by
-    ``tests/archsim/test_missmodel_stackdist.py``.
-    """
-    from repro.archsim.setdist import per_set_profiles, reference_event_stream
-    from repro.archsim.stackdist import stack_distance_profile
-
-    buffer = synthetic_trace_buffer(spec, n_accesses, seed=seed, block_bytes=64)
-    profile_l1 = stack_distance_profile(
-        buffer, block_bytes=REFERENCE_L1_BLOCK
-    )
-    l1_rates = profile_l1.miss_curve(
-        [kb * 1024 // REFERENCE_L1_BLOCK for kb in l1_grid_kb]
-    )
-    ref_sets = REFERENCE_L1_KB * 1024 // (
-        REFERENCE_L1_BLOCK * REFERENCE_L1_ASSOC
-    )
-    stream, total = reference_event_stream(
-        buffer,
-        ref_sets=ref_sets,
-        ref_assoc=REFERENCE_L1_ASSOC,
-        l1_block_bytes=REFERENCE_L1_BLOCK,
-        l2_block_bytes=REFERENCE_L2_BLOCK,
-    )
-    l2_sets = {
-        kb: kb * 1024 // (REFERENCE_L2_BLOCK * REFERENCE_L2_ASSOC)
-        for kb in l2_grid_kb
-    }
-    if total:
-        stream_profiles = per_set_profiles(
-            stream * REFERENCE_L2_BLOCK,
-            set_counts=sorted(set(l2_sets.values())),
-            block_bytes=REFERENCE_L2_BLOCK,
-            depth_cap=REFERENCE_L2_ASSOC,
-        )
-        l2_curve = tuple(
-            (
-                kb * 1024,
-                stream_profiles[l2_sets[kb]].miss_rate(REFERENCE_L2_ASSOC),
-            )
-            for kb in l2_grid_kb
-        )
-    else:
-        l2_curve = tuple((kb * 1024, 0.0) for kb in l2_grid_kb)
-    return MissRateModel(
-        workload=spec.name,
-        l1_curve=tuple(
-            (kb * 1024, l1_rates[kb * 1024 // REFERENCE_L1_BLOCK])
-            for kb in l1_grid_kb
-        ),
-        l2_curve=l2_curve,
     )
 
 
@@ -484,10 +300,11 @@ def _setdist_rates(
     size: one contraction cascade over the trace covers the whole L1
     grid, the reference L1's miss + dirty write-back stream is replayed
     exactly through a second cascade for the L2 grid, and every rate is
-    bit-identical to :func:`_multiconfig_rates` under LRU — at a cost
-    that is independent of how many grid points are requested.  Depth
-    histograms are exact per (set count, depth), so the profiled
-    depth-cap/min-assoc window never changes any rate.
+    bit-identical to a per-point
+    :class:`~repro.archsim.hierarchy.ArrayTwoLevelHierarchy` run under
+    LRU — at a cost that is independent of how many grid points are
+    requested.  Depth histograms are exact per (set count, depth), so
+    the profiled depth-cap/min-assoc window never changes any rate.
     """
     from repro.archsim.setdist import two_level_profiles
 
@@ -532,7 +349,11 @@ def _setdist_rates(
 def _validate_assocs(
     assocs: Optional[Sequence[int]], level: str
 ) -> Optional[Tuple[int, ...]]:
-    """Validate a requested associativity axis (None passes through)."""
+    """Validate a requested associativity axis (None passes through).
+
+    Entries above the per-set profiler's depth limit are rejected here,
+    before any trace pass, for every policy: one bound for the library.
+    """
     if assocs is None:
         return None
     validated: List[int] = []
@@ -546,6 +367,12 @@ def _validate_assocs(
             raise SimulationError(
                 f"{level}_assocs entries must be positive power-of-two "
                 f"ints, got {assoc!r}"
+            )
+        if assoc > _DEPTH_CAP_LIMIT:
+            raise SimulationError(
+                f"{level}_assocs entries must be at most "
+                f"{_DEPTH_CAP_LIMIT} (the per-set profiler's depth "
+                f"limit), got {assoc}"
             )
         validated.append(int(assoc))
     if not validated:
@@ -661,17 +488,34 @@ def _model_from_payload(payload: dict) -> MissRateModel:
     )
 
 
+def _measured_assocs(
+    axis: Optional[Tuple[int, ...]], reference: int
+) -> Tuple[int, ...]:
+    """Associativities to measure: the requested axis plus the reference."""
+    return tuple(sorted(set(axis) | {reference})) if axis else (reference,)
+
+
+def _store_covers(points: Sequence[Tuple[str, int, int]]) -> bool:
+    """Whether every point lies on the profile store's dense surface."""
+    from repro.perf import profile_store as profile_store_tier
+
+    block = {"l1": REFERENCE_L1_BLOCK, "l2": REFERENCE_L2_BLOCK}
+    return all(
+        profile_store_tier.covers_point(
+            level, kb * 1024, assoc, block_bytes=block[level]
+        )
+        for level, kb, assoc in points
+    )
+
+
 def measure_miss_model(
     spec: WorkloadSpec,
     n_accesses: int = 300_000,
     seed: int = 1,
     l1_grid_kb: Sequence[int] = L1_GRID_KB,
     l2_grid_kb: Sequence[int] = L2_GRID_KB,
-    jobs: Optional[int] = None,
     use_disk_cache: bool = True,
     cache_dir=None,
-    engine: str = "multiconfig",
-    estimator: str = "grid",
     policy: str = "lru",
     l1_assocs: Optional[Sequence[int]] = None,
     l2_assocs: Optional[Sequence[int]] = None,
@@ -680,91 +524,45 @@ def measure_miss_model(
     """Measure a fresh :class:`MissRateModel` by simulation.
 
     The L1 curve is measured with the reference L2; the L2 curve with the
-    reference L1 (the paper's one-variable-at-a-time methodology).
+    reference L1 (the paper's one-variable-at-a-time methodology).  The
+    policy picks the route: LRU grids take one per-set Mattson pass
+    (:func:`_setdist_rates`), FIFO and random grids one multi-config
+    sweep (:func:`_multiconfig_rates`); both are exact.
 
     Parameters beyond the grids:
 
-    jobs:
-        Fan lane-coherent shards of the grid over a
-        ``ProcessPoolExecutor`` with this many workers.  The trace is
-        materialised to disk once (``.npy``) and every worker streams
-        chunks of the same memory-mapped copy — nothing is regenerated
-        per point.  ``None`` (default) runs serially in-process, where
-        one in-memory buffer feeds the whole grid.  Results are
-        identical either way; serial is usually faster below ~10 M
-        accesses because the multi-config sweep already shares most of
-        the work a second worker would duplicate.
     use_disk_cache / cache_dir:
         Memoise the measured curves on disk
         (:class:`repro.perf.DiskCache`, namespace ``missmodel``), keyed
         by a fingerprint of the workload spec, trace length, seed,
-        grids, reference cache shapes, and engine.  A warm call is a
+        grids, reference cache shapes and policy.  A warm call is a
         file read.
-    engine:
-        ``"multiconfig"`` (default) simulates the whole grid in one
-        sweep (:class:`~repro.archsim.multiconfig.MultiConfigHierarchyEngine`);
-        ``"array"`` runs the chunked array hierarchy once per point —
-        bit-identical curves, kept as the cross-check and non-LRU
-        escape hatch; ``"object"`` keeps the original per-record
-        generator/simulator pair (the cross-validation path, serial
-        only under ``jobs``'s sharding too).
-    estimator:
-        ``"grid"`` (default) simulates every (level, size) point on the
-        set-associative reference shapes; ``"setdist"`` answers the same
-        grid exactly — bit-identical curves — from one per-set
-        stack-distance pass whose cost does not grow with the grid (see
-        :func:`_setdist_rates`); ``"stackdist"`` derives the grid
-        from one fully-associative profile — cheaper still, but an
-        approximation with a quantified accuracy cost (see
-        :func:`_stackdist_estimate`).  ``engine`` and ``jobs`` are
-        irrelevant to both profiling estimators.
     policy:
         Replacement policy at both levels — ``"lru"`` (default),
-        ``"fifo"`` or ``"random"``; every engine produces bit-identical
-        curves per policy.  The stackdist and setdist estimators are
-        Mattson stack-algorithm constructions, which only model LRU.
+        ``"fifo"`` or ``"random"``.
     l1_assocs / l2_assocs:
-        Optional associativity axes (positive power-of-two ints).  Each
-        level's grid becomes sizes x assocs; the reference
-        associativity is always measured too, so ``l1_curve`` /
-        ``l2_curve`` keep their reference-shape meaning and the
-        requested axes land in ``l1_assoc_curves`` / ``l2_assoc_curves``.
-        ``None`` (default) measures the reference shape only and leaves
-        the assoc curves empty.  Not supported by the (fully
-        associative) stackdist estimator.
+        Optional associativity axes (positive power-of-two ints up to
+        the per-set profiler's depth limit).  Each level's grid becomes
+        sizes x assocs; the reference associativity is always measured
+        too, so ``l1_curve`` / ``l2_curve`` keep their reference-shape
+        meaning and the requested axes land in ``l1_assoc_curves`` /
+        ``l2_assoc_curves``.  ``None`` (default) measures the reference
+        shape only and leaves the assoc curves empty.
     profile_store:
         ``"auto"`` (default) serves the requested grid by slicing a
         dense precomputed (size, assoc) surface
         (:mod:`repro.perf.profile_store`) when one is already resident
         in memory or on disk — bit-identical to direct simulation, zero
-        trace passes — and otherwise measures exactly as before.
-        ``"always"`` computes the dense surface on a miss (one trace
-        pass answers *every* future sub-grid); ``"off"`` never consults
-        the store.  Only grids covered by the surface (4–64 KB L1,
-        128 KB–8 MB L2, power-of-two assocs up to 16) and exact
-        configurations (``estimator`` setdist, or grid with the
-        multiconfig engine) are eligible.
+        trace passes — and otherwise measures directly.  ``"always"``
+        computes the dense surface on a miss (one trace pass answers
+        *every* future sub-grid); ``"off"`` never consults the store.
+        Only grids covered by the surface (4–64 KB L1, 128 KB–8 MB L2,
+        power-of-two assocs up to 16) are eligible.
     """
-    if engine not in ("multiconfig", "array", "object"):
-        raise SimulationError(
-            f"unknown engine {engine!r}; expected 'multiconfig', "
-            f"'array' or 'object'"
-        )
-    if estimator not in ("grid", "stackdist", "setdist"):
-        raise SimulationError(
-            f"unknown estimator {estimator!r}; expected 'grid', "
-            f"'stackdist' or 'setdist'"
-        )
     if policy not in _POLICIES:
         raise SimulationError(
             f"unknown replacement policy {policy!r}; expected one of "
             f"{_POLICIES}"
-        )
-    if estimator != "grid" and policy != "lru":
-        raise SimulationError(
-            f"estimator={estimator!r} models LRU only (Mattson stack "
-            f"distances have no meaning under {policy!r}); use the grid "
-            "estimator for non-LRU policies"
         )
     if profile_store not in ("auto", "always", "off"):
         raise SimulationError(
@@ -773,29 +571,15 @@ def measure_miss_model(
         )
     l1_axis = _validate_assocs(l1_assocs, "l1")
     l2_axis = _validate_assocs(l2_assocs, "l2")
-    if estimator == "stackdist" and (l1_axis or l2_axis):
-        raise SimulationError(
-            "the stackdist estimator is fully associative and cannot "
-            "measure an associativity axis; use estimator='grid' or "
-            "'setdist'"
-        )
-    measured_l1 = (
-        tuple(sorted(set(l1_axis) | {REFERENCE_L1_ASSOC}))
-        if l1_axis
-        else (REFERENCE_L1_ASSOC,)
-    )
-    measured_l2 = (
-        tuple(sorted(set(l2_axis) | {REFERENCE_L2_ASSOC}))
-        if l2_axis
-        else (REFERENCE_L2_ASSOC,)
-    )
+    measured_l1 = _measured_assocs(l1_axis, REFERENCE_L1_ASSOC)
+    measured_l2 = _measured_assocs(l2_axis, REFERENCE_L2_ASSOC)
     points = _grid_points(l1_grid_kb, l2_grid_kb, measured_l1, measured_l2)
     if l1_axis or l2_axis:
         for level, kb, assoc in points:
             _point_sets(level, kb, assoc)  # raises on bad geometry
     fingerprint = _calibration_fingerprint(
-        spec, n_accesses, seed, l1_grid_kb, l2_grid_kb, engine, estimator,
-        policy, measured_l1, measured_l2,
+        spec, n_accesses, seed, l1_grid_kb, l2_grid_kb, policy,
+        measured_l1, measured_l2,
     )
     cache = (
         DiskCache("missmodel", directory=cache_dir) if use_disk_cache else None
@@ -806,138 +590,33 @@ def measure_miss_model(
             return _model_from_payload(payload)
 
     # Profile-store serving tier: slice a dense precomputed surface
-    # instead of sweeping the trace.  Only configurations whose direct
-    # path the surface reproduces bit-for-bit are eligible (setdist, or
-    # the grid estimator on the multiconfig engine — the surface itself
-    # is one setdist cascade for LRU, one multiconfig union pass
-    # otherwise).
-    store_eligible = profile_store != "off" and (
-        estimator == "setdist"
-        or (estimator == "grid" and engine == "multiconfig")
-    )
-    if store_eligible:
+    # instead of sweeping the trace.  The surface is computed by the
+    # same route as below (one setdist cascade for LRU, one multiconfig
+    # union pass otherwise), so a slice is bit-identical to it.
+    surface = None
+    if profile_store != "off" and _store_covers(points):
         from repro.perf import profile_store as profile_store_tier
 
-        block = {
-            "l1": REFERENCE_L1_BLOCK,
-            "l2": REFERENCE_L2_BLOCK,
-        }
-        covered = all(
-            profile_store_tier.covers_point(
-                level, kb * 1024, assoc, block_bytes=block[level]
-            )
-            for level, kb, assoc in points
+        surface = profile_store_tier.get_store(cache_dir).surface(
+            spec,
+            policy=policy,
+            n_accesses=n_accesses,
+            seed=seed,
+            compute=profile_store == "always",
         )
-        if covered:
-            surface = profile_store_tier.get_store(cache_dir).surface(
-                spec,
-                policy=policy,
-                n_accesses=n_accesses,
-                seed=seed,
-                compute=profile_store == "always",
-            )
-            if surface is not None:
-                rates = [
-                    surface.miss_rate(level, kb * 1024, assoc)
-                    for level, kb, assoc in points
-                ]
-                model = _build_model(
-                    spec.name, rates, points, l1_grid_kb, l2_grid_kb,
-                    measured_l1, measured_l2,
-                    l1_axis is not None, l2_axis is not None,
-                )
-                if cache is not None:
-                    cache.store(fingerprint, _model_payload(model))
-                return model
-
-    if estimator == "stackdist":
-        model = _stackdist_estimate(
-            spec, n_accesses, seed, l1_grid_kb, l2_grid_kb
-        )
-        if cache is not None:
-            cache.store(fingerprint, _model_payload(model))
-        return model
-
-    if estimator == "setdist":
-        buffer = synthetic_trace_buffer(
-            spec, n_accesses, seed=seed, block_bytes=64
-        )
-        rates = _setdist_rates(points, buffer)
-        model = _build_model(
-            spec.name, rates, points, l1_grid_kb, l2_grid_kb,
-            measured_l1, measured_l2,
-            l1_axis is not None, l2_axis is not None,
-        )
-        if cache is not None:
-            cache.store(fingerprint, _model_payload(model))
-        return model
-
-    if (
-        jobs is not None and jobs > 1 and len(points) > 1
-        and engine in ("multiconfig", "array")
-    ):
-        # Materialise the trace once; workers stream chunk views of the
-        # same memory-mapped arrays instead of regenerating it.
-        shards = _shard_points(points, jobs)
-        scratch = tempfile.mkdtemp(prefix="repro-missmodel-")
-        try:
-            buffer = synthetic_trace_buffer(
-                spec, n_accesses, seed=seed, block_bytes=64
-            )
-            addresses_path = os.path.join(scratch, "addresses.npy")
-            writes_path = os.path.join(scratch, "writes.npy")
-            np.save(addresses_path, buffer.addresses)
-            np.save(writes_path, buffer.is_write)
-            del buffer
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                shard_rates = list(
-                    pool.map(
-                        _measure_shard,
-                        shards,
-                        [addresses_path] * len(shards),
-                        [writes_path] * len(shards),
-                        [engine] * len(shards),
-                        [policy] * len(shards),
-                    )
-                )
-        finally:
-            shutil.rmtree(scratch, ignore_errors=True)
-        by_point = {
-            point: rate
-            for shard, measured in zip(shards, shard_rates)
-            for point, rate in zip(shard, measured)
-        }
-        rates = [by_point[point] for point in points]
-    elif engine == "multiconfig":
-        # Serial fast path: one sweep of one trace buffer covers the grid.
-        buffer = synthetic_trace_buffer(
-            spec, n_accesses, seed=seed, block_bytes=64
-        )
-        rates = _multiconfig_rates(points, buffer, policy)
-    elif engine == "array":
-        # Per-point fallback: one trace buffer feeds every point.
-        buffer = synthetic_trace_buffer(
-            spec, n_accesses, seed=seed, block_bytes=64
-        )
-        rates = []
-        for level, kb, assoc in points:
-            l1_config, l2_config = _point_configs(level, kb, assoc)
-            result = ArrayTwoLevelHierarchy(l1_config, l2_config, policy).run(
-                buffer
-            )
-            rates.append(
-                result.l1_miss_rate
-                if level == "l1"
-                else result.l2_local_miss_rate
-            )
-    else:
+    if surface is not None:
         rates = [
-            _measure_point(
-                spec, level, kb, n_accesses, seed, engine, policy, assoc
-            )
+            surface.miss_rate(level, kb * 1024, assoc)
             for level, kb, assoc in points
         ]
-
+    else:
+        buffer = synthetic_trace_buffer(
+            spec, n_accesses, seed=seed, block_bytes=64
+        )
+        if policy == "lru":
+            rates = _setdist_rates(points, buffer)
+        else:
+            rates = _multiconfig_rates(points, buffer, policy)
     model = _build_model(
         spec.name, rates, points, l1_grid_kb, l2_grid_kb,
         measured_l1, measured_l2, l1_axis is not None, l2_axis is not None,
@@ -954,8 +633,6 @@ def peek_miss_model(
     l1_grid_kb: Sequence[int] = L1_GRID_KB,
     l2_grid_kb: Sequence[int] = L2_GRID_KB,
     cache_dir=None,
-    engine: str = "multiconfig",
-    estimator: str = "grid",
     policy: str = "lru",
     l1_assocs: Optional[Sequence[int]] = None,
     l2_assocs: Optional[Sequence[int]] = None,
@@ -972,42 +649,21 @@ def peek_miss_model(
     """
     l1_axis = _validate_assocs(l1_assocs, "l1")
     l2_axis = _validate_assocs(l2_assocs, "l2")
-    if estimator == "stackdist" and (l1_axis or l2_axis):
-        return None
-    measured_l1 = (
-        tuple(sorted(set(l1_axis) | {REFERENCE_L1_ASSOC}))
-        if l1_axis
-        else (REFERENCE_L1_ASSOC,)
-    )
-    measured_l2 = (
-        tuple(sorted(set(l2_axis) | {REFERENCE_L2_ASSOC}))
-        if l2_axis
-        else (REFERENCE_L2_ASSOC,)
-    )
+    measured_l1 = _measured_assocs(l1_axis, REFERENCE_L1_ASSOC)
+    measured_l2 = _measured_assocs(l2_axis, REFERENCE_L2_ASSOC)
     points = _grid_points(l1_grid_kb, l2_grid_kb, measured_l1, measured_l2)
     fingerprint = _calibration_fingerprint(
-        spec, n_accesses, seed, l1_grid_kb, l2_grid_kb, engine, estimator,
-        policy, measured_l1, measured_l2,
+        spec, n_accesses, seed, l1_grid_kb, l2_grid_kb, policy,
+        measured_l1, measured_l2,
     )
     cache = DiskCache("missmodel", directory=cache_dir)
     payload = cache.load(fingerprint)
     if payload is not None:
         return _model_from_payload(payload)
-    if not (
-        estimator == "setdist"
-        or (estimator == "grid" and engine == "multiconfig")
-    ):
+    if not _store_covers(points):
         return None
     from repro.perf import profile_store as profile_store_tier
 
-    block = {"l1": REFERENCE_L1_BLOCK, "l2": REFERENCE_L2_BLOCK}
-    if not all(
-        profile_store_tier.covers_point(
-            level, kb * 1024, assoc, block_bytes=block[level]
-        )
-        for level, kb, assoc in points
-    ):
-        return None
     surface = profile_store_tier.get_store(cache_dir).peek(
         spec, policy=policy, n_accesses=n_accesses, seed=seed
     )
@@ -1025,11 +681,9 @@ def peek_miss_model(
     return model
 
 
-#: Pre-measured curves (2,000,000 accesses, seed 1; the default
-#: ``engine="multiconfig"`` sweep and the per-point ``engine="array"``
-#: path produce these bit-identically — see module docstring for the
-#: reference shapes).  Regenerate with
-#: ``python tools/calibrate_missmodel.py``.
+#: Pre-measured LRU curves (2,000,000 accesses, seed 1, rounded to 5
+#: decimals — see module docstring for the reference shapes).
+#: Regenerate with ``python tools/calibrate_missmodel.py``.
 CALIBRATED_TABLES: Dict[str, MissRateModel] = {
     "spec2000": MissRateModel(
         workload="spec2000",
@@ -1200,66 +854,30 @@ POLICY_CALIBRATION_ACCESSES = 300_000
 #: (workload, policy).  LRU stays in :data:`CALIBRATED_TABLES`.
 _POLICY_TABLES: Dict[Tuple[str, str], MissRateModel] = {}
 
-#: Trace length for on-demand non-grid-estimator calibrations — matches
-#: the committed tables' provenance (2 M accesses, seed 1), so the
-#: setdist curves are the exact unrounded values behind
+#: Trace length of the committed tables' provenance (2 M accesses,
+#: seed 1); LRU surfaces are measured at it, so their reference-assoc
+#: curves are the exact unrounded values behind
 #: :data:`CALIBRATED_TABLES`.
-ESTIMATOR_CALIBRATION_ACCESSES = 2_000_000
-
-#: In-process memo of on-demand estimator calibrations, keyed by
-#: (workload, estimator).  The grid estimator stays in
-#: :data:`CALIBRATED_TABLES`.
-_ESTIMATOR_TABLES: Dict[Tuple[str, str], MissRateModel] = {}
+TABLE_CALIBRATION_ACCESSES = 2_000_000
 
 
 def calibrated_miss_model(
     workload: str = "spec2000",
     policy: str = "lru",
-    estimator: str = "grid",
 ) -> MissRateModel:
     """Return the pre-measured model for a standard workload.
 
-    LRU with the grid estimator (the default) serves the committed
-    :data:`CALIBRATED_TABLES`; FIFO and random measure on demand at
-    :data:`POLICY_CALIBRATION_ACCESSES` accesses, memoised in-process
-    and on disk.  ``estimator="setdist"`` (or ``"stackdist"``) measures
-    on demand with that estimator at
-    :data:`ESTIMATOR_CALIBRATION_ACCESSES` accesses (LRU only; setdist
-    matches the grid tables bit-for-bit before their 5-decimal
-    rounding).  Falls back to a live measurement if the LRU table has
-    not been populated for that workload (slower, but always available).
+    LRU serves the committed :data:`CALIBRATED_TABLES`; FIFO and random
+    measure on demand at :data:`POLICY_CALIBRATION_ACCESSES` accesses,
+    memoised in-process and on disk.  Falls back to a live measurement
+    if the LRU table has not been populated for that workload (slower,
+    but always available).
     """
     if policy not in _POLICIES:
         raise SimulationError(
             f"unknown replacement policy {policy!r}; expected one of "
             f"{_POLICIES}"
         )
-    if estimator not in ("grid", "stackdist", "setdist"):
-        raise SimulationError(
-            f"unknown estimator {estimator!r}; expected 'grid', "
-            f"'stackdist' or 'setdist'"
-        )
-    if estimator != "grid":
-        if policy != "lru":
-            raise SimulationError(
-                f"estimator={estimator!r} models LRU only; use the grid "
-                "estimator for non-LRU policies"
-            )
-        if workload not in STANDARD_WORKLOADS:
-            raise SimulationError(
-                f"unknown workload {workload!r}; expected one of "
-                f"{sorted(STANDARD_WORKLOADS)}"
-            )
-        key = (workload, estimator)
-        model = _ESTIMATOR_TABLES.get(key)
-        if model is None:
-            model = measure_miss_model(
-                STANDARD_WORKLOADS[workload],
-                n_accesses=ESTIMATOR_CALIBRATION_ACCESSES,
-                estimator=estimator,
-            )
-            _ESTIMATOR_TABLES[key] = model
-        return model
     if policy != "lru":
         if workload not in STANDARD_WORKLOADS:
             raise SimulationError(
@@ -1304,7 +922,7 @@ def calibrated_miss_surface(
     associativity (1–16, powers of two), so
     ``model.l1_miss_rate(size, assoc)`` prices any shape the optimisers
     can build.  LRU surfaces are measured at
-    :data:`ESTIMATOR_CALIBRATION_ACCESSES` accesses (the committed
+    :data:`TABLE_CALIBRATION_ACCESSES` accesses (the committed
     tables' provenance — the reference-assoc curves match the tables up
     to their 5-decimal rounding); non-LRU at
     :data:`POLICY_CALIBRATION_ACCESSES`, matching
@@ -1328,7 +946,7 @@ def calibrated_miss_surface(
     from repro.perf import profile_store as profile_store_tier
 
     n_accesses = (
-        ESTIMATOR_CALIBRATION_ACCESSES
+        TABLE_CALIBRATION_ACCESSES
         if policy == "lru"
         else POLICY_CALIBRATION_ACCESSES
     )

@@ -1,19 +1,23 @@
 """Single-pass multi-configuration two-level hierarchy simulation.
 
-The grid calibration in :mod:`repro.archsim.missmodel` needs the full
-:class:`~repro.archsim.hierarchy.HierarchyResult` of ~a dozen (L1 size,
+FIFO and random calibration grids in :mod:`repro.archsim.missmodel` (and
+the profile store's dense surfaces) need the full
+:class:`~repro.archsim.hierarchy.HierarchyResult` of many (L1 size,
 L2 size) combinations over the *same* multi-million-access trace.
 Running :class:`~repro.archsim.hierarchy.ArrayTwoLevelHierarchy` once
 per combination repeats nearly all of the work: every pass re-decodes
 the same addresses, re-derives block/set indices, and — for the L2-curve
 points, which all sit behind the same reference L1 — re-simulates an
-identical L1 from scratch.
+identical L1 from scratch.  (LRU grids take the per-set Mattson
+profiler, :mod:`repro.archsim.setdist`, instead; this engine rejects
+``policy="lru"``.)
 
 :class:`MultiConfigHierarchyEngine` simulates *all* configurations
 concurrently in one sweep over each trace chunk, producing statistics
-**bit-identical** to independent per-point runs (the property suite in
-``tests/archsim/test_multiconfig.py`` locks this in).  Four layers of
-sharing make it fast:
+**bit-identical** to independent per-point runs (the property suites in
+``tests/archsim/test_multiconfig.py`` and
+``tests/archsim/test_multiconfig_policies.py`` lock this in).  Three
+layers of sharing make it fast:
 
 * **One decode.**  Points are grouped into *lanes* by their L1 shape;
   lanes sharing a block size share one vectorized block/set-index
@@ -22,21 +26,13 @@ sharing make it fast:
   every lane masks the same shifted-block list with its own
   ``n_sets - 1``.
 * **Run compression.**  Consecutive accesses to the same block are
-  guaranteed LRU hits on the block at the top of its set's recency
-  order, in every configuration at once (an MRU block cannot be the LRU
-  victim while associativity >= 1).  Each chunk is compressed with numpy
-  to its block-boundary events plus per-run ORed write flags; typical
+  guaranteed hits in every configuration at once: the first access of
+  the run leaves the block resident, and hits never touch FIFO or
+  random replacement state.  Each chunk is compressed with numpy to its
+  block-boundary events plus per-run ORed write flags; typical
   synthetic traces shed ~50 % of their accesses before the Python loop
   ever sees them.  The ORed flag drives the dirty bits, so write-back
   accounting stays exact.
-* **An all-caches MRU fast path.**  Within a group, set indices refine:
-  the blocks mapping to a fine set are a subset of those mapping to the
-  coarse set it nests in, so *fewer* blocks separate a reuse in a finer
-  cache (Mattson's inclusion, per set).  In particular an MRU hit in
-  the fewest-sets cache is an MRU hit in **every** cache of the group,
-  whose only state change is ORing the write flag into the dirty bit.
-  That collapses ~80 % of events (measured, spec2000-like) to a single
-  compare — and to literally no state change when the run was clean.
 * **One L1 per lane, replayed L2s.**  Each lane advances its L1 state
   once per event and records the resulting L2 traffic (dirty-victim
   write-back followed by the demand fill, in simulation order).  Every
@@ -48,23 +44,15 @@ sharing make it fast:
 The per-chunk inner loops are generated (``compile``/``exec``) from the
 lane layout at construction time: one fused loop advances every lane's
 set state with straight-line, local-variable-only code.  2-way and
-direct-mapped levels use an exact two-slot/one-slot encoding (plain
-Python lists indexed by set); other associativities use the same
-insertion-ordered-dict core as
-:class:`~repro.archsim.setassoc.ArraySetAssociativeCache`.
-
-All three array-engine policies are supported.  Run compression is
-policy-independent — a just-accessed block is resident under LRU, FIFO
-and random alike, and hits never touch replacement state in the
-fill-order policies — but the MRU guard fast path leans on Mattson set
-refinement (a stack-algorithm property) and is only emitted for LRU.
-FIFO swaps the slot/dict encodings for fill-order variants (no
-reinsert-on-hit; the victim is the oldest fill).  Random draws victims
-from per-cache seeded :class:`random.Random` streams — L1 on ``seed``,
-every follower L2 on ``seed + 1``, the exact streams
+direct-mapped levels use an exact two-slot/one-slot fill-order encoding
+(plain Python lists indexed by set); other associativities use
+insertion-ordered dicts, whose first key is the oldest fill.  FIFO
+evicts the oldest fill.  Random draws victims from per-cache seeded
+:class:`random.Random` streams — L1 on ``seed``, every follower L2 on
+``seed + 1``, the exact streams
 :class:`~repro.archsim.hierarchy.ArrayTwoLevelHierarchy` uses per
 point — so each point's statistics stay bit-identical no matter how
-points are grouped into lanes or sharded across workers.
+points are grouped into lanes.
 """
 
 from __future__ import annotations
@@ -89,8 +77,8 @@ _Shape = Tuple[int, int, int]
 #: ordered-dict sets (lets the hit path run on one hash probe).
 _MISSING = object()
 
-#: Replacement policies with generated kernels (the array-engine set).
-_POLICIES = ("lru", "fifo", "random")
+#: Replacement policies with generated kernels.
+_POLICIES = ("fifo", "random")
 
 
 def _shape(config: CacheConfig) -> _Shape:
@@ -103,8 +91,7 @@ def _shape(config: CacheConfig) -> _Shape:
 #
 # A "group" is a list of cache states driven by the same compressed event
 # stream (all L1 lanes sharing a block size; all L2 followers of one lane
-# sharing a block size), ordered by ascending set count so index 0 is the
-# MRU-fast-path guard.  The generated function unrolls the per-cache
+# sharing a block size).  The generated function unrolls the per-cache
 # logic so each event advances every cache with local-variable code only.
 #
 # Loop variables: b = block address, sb = block address >> block shift
@@ -112,28 +99,28 @@ def _shape(config: CacheConfig) -> _Shape:
 # (miss classification), aw = OR of every write flag in the run (dirty
 # bit), a = raw address of the run's first access (L2 demand traffic).
 
-_PROLOGUE = {
-    "slot2": (
-        "    u{i}=g[{i}]['mru']; v{i}=g[{i}]['lru']; "
-        "d{i}=g[{i}]['dirty_mru']; e{i}=g[{i}]['dirty_lru']; "
-        "k{i}=g[{i}]['mask']\n"
-    ),
-    "slot1": (
-        "    u{i}=g[{i}]['mru']; d{i}=g[{i}]['dirty_mru']; "
-        "k{i}=g[{i}]['mask']\n"
-    ),
-    "dict": "    S{i}=g[{i}]['sets']; k{i}=g[{i}]['mask']; A{i}=g[{i}]['assoc']\n",
-}
-
-# FIFO reuses the LRU state layouts (the slots/dicts just hold fill
-# order instead of recency order); random additionally binds the cache's
-# seeded victim chooser.
+_SLOT2_STATE = (
+    "    u{i}=g[{i}]['newer']; v{i}=g[{i}]['older']; "
+    "d{i}=g[{i}]['dirty_newer']; e{i}=g[{i}]['dirty_older']; "
+    "k{i}=g[{i}]['mask']\n"
+)
+_SLOT1_STATE = (
+    "    u{i}=g[{i}]['newer']; d{i}=g[{i}]['dirty_newer']; "
+    "k{i}=g[{i}]['mask']\n"
+)
+_DICT_STATE = (
+    "    S{i}=g[{i}]['sets']; k{i}=g[{i}]['mask']; A{i}=g[{i}]['assoc']\n"
+)
+# Random additionally binds the cache's seeded victim chooser.
 _CHOICE = "    C{i}=g[{i}]['choice']\n"
-_PROLOGUE["fslot2"] = _PROLOGUE["slot2"]
-_PROLOGUE["fdict"] = _PROLOGUE["dict"]
-_PROLOGUE["rslot2"] = _PROLOGUE["slot2"] + _CHOICE
-_PROLOGUE["rslot1"] = _PROLOGUE["slot1"] + _CHOICE
-_PROLOGUE["rdict"] = _PROLOGUE["dict"] + _CHOICE
+_PROLOGUE = {
+    "fslot2": _SLOT2_STATE,
+    "slot1": _SLOT1_STATE,
+    "fdict": _DICT_STATE,
+    "rslot2": _SLOT2_STATE + _CHOICE,
+    "rslot1": _SLOT1_STATE + _CHOICE,
+    "rdict": _DICT_STATE + _CHOICE,
+}
 
 _COUNTERS = "    h{i}=0; mi{i}=0; rm{i}=0; wm{i}=0; ev{i}=0; wb{i}=0; mem{i}=0\n"
 
@@ -142,100 +129,55 @@ _EVENTS = (
     "owap{i}=g[{i}]['ops_write'].append\n"
 )
 
-_SLOT2 = """\
-{shead}
-            m = u{i}[s]
-            if b == m:
-                h{i} += 1
-                if aw:
-                    d{i}[s] = True
-            elif b == v{i}[s]:
-                h{i} += 1
-                u{i}[s] = b; v{i}[s] = m
-                t = e{i}[s]; e{i}[s] = d{i}[s]; d{i}[s] = t or aw
-            else:
-                mi{i} += 1
-                if x:
-                    wm{i} += 1
-                else:
-                    rm{i} += 1
-                victim = v{i}[s]
-                u{i}[s] = b; v{i}[s] = m
-                t = e{i}[s]; e{i}[s] = d{i}[s]; d{i}[s] = aw
-                if victim != -1:
-                    ev{i} += 1
-                    if t:
-                        wb{i} += 1
-{dirty_victim}{miss}"""
-
+# FIFO direct-mapped: one slot per set, so the victim is forced.
 _SLOT1 = """\
-{shead}
-            m = u{i}[s]
-            if b == m:
-                h{i} += 1
-                if aw:
-                    d{i}[s] = True
+        s = sb & k{i}
+        m = u{i}[s]
+        if b == m:
+            h{i} += 1
+            if aw:
+                d{i}[s] = True
+        else:
+            mi{i} += 1
+            if x:
+                wm{i} += 1
             else:
-                mi{i} += 1
-                if x:
-                    wm{i} += 1
-                else:
-                    rm{i} += 1
-                t = d{i}[s]
-                u{i}[s] = b; d{i}[s] = aw
-                if m != -1:
-                    ev{i} += 1
-                    if t:
-                        wb{i} += 1
+                rm{i} += 1
+            t = d{i}[s]
+            u{i}[s] = b; d{i}[s] = aw
+            if m != -1:
+                ev{i} += 1
+                if t:
+                    wb{i} += 1
 {dirty_victim}{miss}"""
-
-_DICT = """\
-            r = S{i}[{sx}]
-            t = r.pop(b, MS)
-            if t is not MS:
-                h{i} += 1
-                r[b] = t or aw
-            else:
-                mi{i} += 1
-                if x:
-                    wm{i} += 1
-                else:
-                    rm{i} += 1
-                if len(r) >= A{i}:
-                    victim = next(iter(r))
-                    if r.pop(victim):
-                        wb{i} += 1
-{dirty_victim}                    ev{i} += 1
-{miss}                r[b] = aw
-"""
 
 # FIFO two-slot: u{i} holds the newer fill, v{i} the older.  Hits never
 # promote (the only change a hit may make is setting the dirty bit); the
 # victim is always the older fill, and a miss shifts new -> old.
 _FSLOT2 = """\
-{shead}
-            m = u{i}[s]
-            if b == m:
-                h{i} += 1
-                if aw:
-                    d{i}[s] = True
-            elif b == v{i}[s]:
-                h{i} += 1
-                if aw:
-                    e{i}[s] = True
+        s = sb & k{i}
+        m = u{i}[s]
+        if b == m:
+            h{i} += 1
+            if aw:
+                d{i}[s] = True
+        elif b == v{i}[s]:
+            h{i} += 1
+            if aw:
+                e{i}[s] = True
+        else:
+            mi{i} += 1
+            if x:
+                wm{i} += 1
             else:
-                mi{i} += 1
-                if x:
-                    wm{i} += 1
-                else:
-                    rm{i} += 1
-                victim = v{i}[s]
-                u{i}[s] = b; v{i}[s] = m
-                t = e{i}[s]; e{i}[s] = d{i}[s]; d{i}[s] = aw
-                if victim != -1:
-                    ev{i} += 1
-                    if t:
-                        wb{i} += 1
+                rm{i} += 1
+            victim = v{i}[s]
+            u{i}[s] = b; v{i}[s] = m
+            t = e{i}[s]; e{i}[s] = d{i}[s]; d{i}[s] = aw
+            if victim != -1:
+                ev{i} += 1
+                if t:
+                    wb{i} += 1
 {dirty_victim}{miss}"""
 
 # Random two-slot: same fill-order slots as FIFO, but a full set's
@@ -244,38 +186,38 @@ _FSLOT2 = """\
 # so the rng consumes identical state and picks identical victims.  An
 # unfilled set evicts nothing and draws nothing, like the array engine.
 _RSLOT2 = """\
-{shead}
-            m = u{i}[s]
-            if b == m:
-                h{i} += 1
-                if aw:
-                    d{i}[s] = True
-            elif b == v{i}[s]:
-                h{i} += 1
-                if aw:
-                    e{i}[s] = True
+        s = sb & k{i}
+        m = u{i}[s]
+        if b == m:
+            h{i} += 1
+            if aw:
+                d{i}[s] = True
+        elif b == v{i}[s]:
+            h{i} += 1
+            if aw:
+                e{i}[s] = True
+        else:
+            mi{i} += 1
+            if x:
+                wm{i} += 1
             else:
-                mi{i} += 1
-                if x:
-                    wm{i} += 1
+                rm{i} += 1
+            victim = v{i}[s]
+            if victim == -1:
+                u{i}[s] = b; v{i}[s] = m
+                e{i}[s] = d{i}[s]; d{i}[s] = aw
+            else:
+                victim = C{i}((victim, m))
+                ev{i} += 1
+                if victim == m:
+                    t = d{i}[s]
+                    u{i}[s] = b; d{i}[s] = aw
                 else:
-                    rm{i} += 1
-                victim = v{i}[s]
-                if victim == -1:
+                    t = e{i}[s]
                     u{i}[s] = b; v{i}[s] = m
                     e{i}[s] = d{i}[s]; d{i}[s] = aw
-                else:
-                    victim = C{i}((victim, m))
-                    ev{i} += 1
-                    if victim == m:
-                        t = d{i}[s]
-                        u{i}[s] = b; d{i}[s] = aw
-                    else:
-                        t = e{i}[s]
-                        u{i}[s] = b; v{i}[s] = m
-                        e{i}[s] = d{i}[s]; d{i}[s] = aw
-                    if t:
-                        wb{i} += 1
+                if t:
+                    wb{i} += 1
 {dirty_victim}{miss}"""
 
 # Random direct-mapped: the victim is forced, but the array engine still
@@ -283,77 +225,77 @@ _RSLOT2 = """\
 # draws bits), so the kernel must burn the same rng state to keep later
 # draws aligned.
 _RSLOT1 = """\
-{shead}
-            m = u{i}[s]
-            if b == m:
-                h{i} += 1
-                if aw:
-                    d{i}[s] = True
+        s = sb & k{i}
+        m = u{i}[s]
+        if b == m:
+            h{i} += 1
+            if aw:
+                d{i}[s] = True
+        else:
+            mi{i} += 1
+            if x:
+                wm{i} += 1
             else:
-                mi{i} += 1
-                if x:
-                    wm{i} += 1
-                else:
-                    rm{i} += 1
-                t = d{i}[s]
-                u{i}[s] = b; d{i}[s] = aw
-                if m != -1:
-                    C{i}((m,))
-                    ev{i} += 1
-                    if t:
-                        wb{i} += 1
+                rm{i} += 1
+            t = d{i}[s]
+            u{i}[s] = b; d{i}[s] = aw
+            if m != -1:
+                C{i}((m,))
+                ev{i} += 1
+                if t:
+                    wb{i} += 1
 {dirty_victim}{miss}"""
 
 # FIFO dict: no pop-and-reinsert on hit, so insertion order *is* fill
 # order and the victim is the first key.
 _FDICT = """\
-            r = S{i}[{sx}]
-            t = r.get(b, MS)
-            if t is not MS:
-                h{i} += 1
-                if aw:
-                    r[b] = True
+        r = S{i}[sb & k{i}]
+        t = r.get(b, MS)
+        if t is not MS:
+            h{i} += 1
+            if aw:
+                r[b] = True
+        else:
+            mi{i} += 1
+            if x:
+                wm{i} += 1
             else:
-                mi{i} += 1
-                if x:
-                    wm{i} += 1
-                else:
-                    rm{i} += 1
-                if len(r) >= A{i}:
-                    victim = next(iter(r))
-                    if r.pop(victim):
-                        wb{i} += 1
-{dirty_victim}                    ev{i} += 1
-{miss}                r[b] = aw
+                rm{i} += 1
+            if len(r) >= A{i}:
+                victim = next(iter(r))
+                if r.pop(victim):
+                    wb{i} += 1
+{dirty_victim}                ev{i} += 1
+{miss}            r[b] = aw
 """
 
 # Random dict: fill-order residency with a seeded victim draw over the
 # full set (``list(r)`` matches the array engine's candidate order).
 _RDICT = """\
-            r = S{i}[{sx}]
-            t = r.get(b, MS)
-            if t is not MS:
-                h{i} += 1
-                if aw:
-                    r[b] = True
+        r = S{i}[sb & k{i}]
+        t = r.get(b, MS)
+        if t is not MS:
+            h{i} += 1
+            if aw:
+                r[b] = True
+        else:
+            mi{i} += 1
+            if x:
+                wm{i} += 1
             else:
-                mi{i} += 1
-                if x:
-                    wm{i} += 1
-                else:
-                    rm{i} += 1
-                if len(r) >= A{i}:
-                    victim = C{i}(list(r))
-                    if r.pop(victim):
-                        wb{i} += 1
-{dirty_victim}                    ev{i} += 1
-{miss}                r[b] = aw
+                rm{i} += 1
+            if len(r) >= A{i}:
+                victim = C{i}(list(r))
+                if r.pop(victim):
+                    wb{i} += 1
+{dirty_victim}                ev{i} += 1
+{miss}            r[b] = aw
 """
 
 _EPILOGUE = """\
     st = g[{i}]['stats']
-    st.accesses += h{i} + mi{i} + hall
-    st.hits += h{i} + hall
+    st.accesses += h{i} + mi{i}
+    st.hits += h{i}
     st.misses += mi{i}
     st.read_misses += rm{i}
     st.write_misses += wm{i}
@@ -363,20 +305,19 @@ _EPILOGUE = """\
 """
 
 
-_SLOT_TEMPLATES = {
-    "slot2": _SLOT2,
+_TEMPLATES = {
     "slot1": _SLOT1,
     "fslot2": _FSLOT2,
     "rslot2": _RSLOT2,
     "rslot1": _RSLOT1,
+    "fdict": _FDICT,
+    "rdict": _RDICT,
 }
-
-_DICT_TEMPLATES = {"dict": _DICT, "fdict": _FDICT, "rdict": _RDICT}
 
 
 def _cache_section(i: int, kind: str, events: bool, memory: bool) -> str:
-    """One cache's per-event code block (slow path of the fused loop)."""
-    indent = " " * 24
+    """One cache's per-event code block inside the fused loop."""
+    indent = " " * 20
     # The one-slot kinds hold their victim in `m`; the rest bind `victim`.
     victim_name = "m" if kind in ("slot1", "rslot1") else "victim"
     dirty_victim = ""
@@ -385,55 +326,26 @@ def _cache_section(i: int, kind: str, events: bool, memory: bool) -> str:
         dirty_victim += f"{indent}owap{i}(True)\n"
     if memory:
         dirty_victim += f"{indent}mem{i} += 1\n"
-    miss_indent = " " * 16
+    miss_indent = " " * 12
     miss = ""
     if memory:
         miss += f"{miss_indent}mem{i} += 1\n"
     if events:
         miss += f"{miss_indent}oaap{i}(a)\n"
         miss += f"{miss_indent}owap{i}(False)\n"
-    if kind in _DICT_TEMPLATES:
-        sx = "s0" if i == 0 else f"sb & k{i}"
-        return _DICT_TEMPLATES[kind].format(
-            i=i, sx=sx, dirty_victim=dirty_victim, miss=miss
-        )
-    shead = "            s = s0" if i == 0 else f"            s = sb & k{i}"
-    return _SLOT_TEMPLATES[kind].format(i=i, shead=shead,
-                                        dirty_victim=dirty_victim, miss=miss)
-
-
-def _dedent4(text: str) -> str:
-    """Lift a section generated for the guarded layout by one level."""
-    return "".join(
-        line[4:] if line.startswith("    ") else line
-        for line in text.splitlines(keepends=True)
-    )
-
-
-def _dirty_store(i: int, kind: str) -> str:
-    """Fast-path dirty-bit update for an all-caches MRU hit."""
-    sx = "s0" if i == 0 else f"sb & k{i}"
-    if kind == "dict":
-        return f"                S{i}[{sx}][b] = True\n"
-    return f"                d{i}[{sx}] = True\n"
+    return _TEMPLATES[kind].format(i=i, dirty_victim=dirty_victim, miss=miss)
 
 
 def _build_group_runner(
-    kinds: Sequence[str], events: Sequence[bool], memory: bool,
-    guarded: bool = True,
+    kinds: Sequence[str], events: Sequence[bool], memory: bool
 ):
     """Compile the fused chunk loop for one cache group.
 
-    ``kinds[i]`` selects the state encoding of cache ``i`` (``kinds[0]``
-    is the fewest-sets guard); ``events[i]`` toggles L2-traffic
-    recording for that cache (L1 lanes with at least one follower) and
-    ``memory`` toggles main-memory counting for the whole group (L2
-    followers).  ``guarded`` emits the all-caches MRU fast path — valid
-    only for LRU, where Mattson set refinement makes an MRU hit in the
-    fewest-sets cache an MRU hit everywhere; FIFO/random groups run
-    every event through the per-cache sections.
+    ``kinds[i]`` selects the state encoding of cache ``i``; ``events[i]``
+    toggles L2-traffic recording for that cache (L1 lanes with at least
+    one follower) and ``memory`` toggles main-memory counting for the
+    whole group (L2 followers).
     """
-    guard = kinds[0]
     any_events = any(events)
     lines: List[str] = ["def _run(bl, sbl, xl, awl, al, g):\n"]
     for i, kind in enumerate(kinds):
@@ -441,30 +353,12 @@ def _build_group_runner(
         lines.append(_COUNTERS.format(i=i))
         if events[i]:
             lines.append(_EVENTS.format(i=i))
-    guard_mru = "u0"
-    if guarded and guard == "dict":
-        guard_mru = "gm"
-        lines.append("    gm = g[0]['guard_mru']\n")
-    lines.append("    hall = 0\n")
     if any_events:
         lines.append("    for b, sb, x, aw, a in zip(bl, sbl, xl, awl, al):\n")
     else:
         lines.append("    for b, sb, x, aw in zip(bl, sbl, xl, awl):\n")
-    lines.append("        s0 = sb & k0\n")
-    if guarded:
-        lines.append(f"        if b == {guard_mru}[s0]:\n")
-        lines.append("            hall += 1\n")
-        lines.append("            if aw:\n")
-        for i, kind in enumerate(kinds):
-            lines.append(_dirty_store(i, kind))
-        lines.append("        else:\n")
-        for i, kind in enumerate(kinds):
-            lines.append(_cache_section(i, kind, events[i], memory))
-        if guard == "dict":
-            lines.append("            gm[s0] = b\n")
-    else:
-        for i, kind in enumerate(kinds):
-            lines.append(_dedent4(_cache_section(i, kind, events[i], memory)))
+    for i, kind in enumerate(kinds):
+        lines.append(_cache_section(i, kind, events[i], memory))
     for i in range(len(kinds)):
         lines.append(_EPILOGUE.format(i=i))
     source = "".join(lines)
@@ -479,7 +373,7 @@ def _compress(blocks: np.ndarray, writes: np.ndarray):
     """Collapse runs of consecutive equal blocks to (indices, run-OR).
 
     Returns ``(kept_indices, run_any_write, skipped)`` where ``skipped``
-    is the number of dropped accesses — each a guaranteed MRU hit whose
+    is the number of dropped accesses — each a guaranteed hit whose
     only architectural effect (the dirty bit) is carried by the ORed
     write flag of its run.
     """
@@ -494,25 +388,23 @@ def _compress(blocks: np.ndarray, writes: np.ndarray):
     return kept, np.logical_or.reduceat(writes, kept), int(n - kept.size)
 
 
-#: State encoding per (associativity class, policy).  FIFO reuses the
-#: one-slot LRU kernel — with a single way there is nothing to reorder.
+#: State encoding per (associativity class, policy).
 _KINDS = {
-    2: {"lru": "slot2", "fifo": "fslot2", "random": "rslot2"},
-    1: {"lru": "slot1", "fifo": "slot1", "random": "rslot1"},
-    None: {"lru": "dict", "fifo": "fdict", "random": "rdict"},
+    2: {"fifo": "fslot2", "random": "rslot2"},
+    1: {"fifo": "slot1", "random": "rslot1"},
+    None: {"fifo": "fdict", "random": "rdict"},
 }
 
 
 def _state_for(
-    shape: _Shape, name: str, events: bool,
-    policy: str = "lru", seed: int = 0,
+    shape: _Shape, name: str, events: bool, policy: str, seed: int
 ) -> dict:
     """Allocate the per-set state for one cache of the given shape.
 
     A random-policy cache owns its rng stream, created here from
     ``seed`` — per cache, not per lane group or shard, so victim draws
     depend only on the cache's own miss sequence and results are stable
-    under any point grouping or ``jobs=`` sharding.
+    under any point grouping.
     """
     size_bytes, block_bytes, associativity = shape
     n_sets = _validate_shape(size_bytes, block_bytes, associativity, name)
@@ -524,14 +416,14 @@ def _state_for(
         "stats": CacheStats(),
         "memory": 0,
     }
-    if kind in ("slot2", "fslot2", "rslot2"):
-        state["mru"] = [-1] * n_sets
-        state["lru"] = [-1] * n_sets
-        state["dirty_mru"] = [False] * n_sets
-        state["dirty_lru"] = [False] * n_sets
+    if kind in ("fslot2", "rslot2"):
+        state["newer"] = [-1] * n_sets
+        state["older"] = [-1] * n_sets
+        state["dirty_newer"] = [False] * n_sets
+        state["dirty_older"] = [False] * n_sets
     elif kind in ("slot1", "rslot1"):
-        state["mru"] = [-1] * n_sets
-        state["dirty_mru"] = [False] * n_sets
+        state["newer"] = [-1] * n_sets
+        state["dirty_newer"] = [False] * n_sets
     else:
         state["sets"] = [dict() for _ in range(n_sets)]
     if policy == "random":
@@ -543,22 +435,11 @@ def _state_for(
 
 
 def _group_by_block(states: Sequence[dict]) -> List[Tuple[int, List[dict]]]:
-    """Partition cache states by block size, each ordered by set count.
-
-    Index 0 of every partition is the fewest-sets cache — the fast-path
-    guard — which gets an auxiliary MRU list when dict-encoded.
-    """
+    """Partition cache states by block size (one decode per partition)."""
     by_block: Dict[int, List[dict]] = {}
     for state in states:
         by_block.setdefault(state["block_bytes"], []).append(state)
-    groups = []
-    for block_bytes, members in sorted(by_block.items()):
-        members.sort(key=lambda state: state["mask"])
-        guard = members[0]
-        if guard["kind"] == "dict" and "guard_mru" not in guard:
-            guard["guard_mru"] = [-1] * (guard["mask"] + 1)
-        groups.append((block_bytes, members))
-    return groups
+    return sorted(by_block.items())
 
 
 class _Lane:
@@ -567,8 +448,7 @@ class _Lane:
     __slots__ = ("shape", "state", "followers", "follower_groups",
                  "policy", "seed")
 
-    def __init__(self, shape: _Shape, policy: str = "lru",
-                 seed: int = 0) -> None:
+    def __init__(self, shape: _Shape, policy: str, seed: int) -> None:
         self.shape = shape
         self.policy = policy
         self.seed = seed
@@ -597,7 +477,6 @@ class _Lane:
                 [state["kind"] for state in states],
                 events=[False] * len(states),
                 memory=True,
-                guarded=self.policy == "lru",
             )
             self.follower_groups.append((block_bytes, states, runner))
 
@@ -617,9 +496,10 @@ class MultiConfigHierarchyEngine:
         ``memory_accesses == 0``.  The L1 statistics are unaffected —
         the L2 is strictly downstream of the L1 in this hierarchy.
     policy:
-        ``"lru"``, ``"fifo"`` or ``"random"`` — same set, and same
-        semantics, as
-        :class:`~repro.archsim.hierarchy.ArrayTwoLevelHierarchy`.
+        ``"fifo"`` or ``"random"``, with the semantics of
+        :class:`~repro.archsim.hierarchy.ArrayTwoLevelHierarchy`.  LRU
+        is rejected: LRU grids are measured exactly by the per-set
+        Mattson profiler (:mod:`repro.archsim.setdist`).
     seed:
         Random-policy seed: every lane L1 draws from
         ``random.Random(seed)`` and every follower L2 from
@@ -635,13 +515,14 @@ class MultiConfigHierarchyEngine:
     def __init__(
         self,
         points: Sequence[Tuple[CacheConfig, Optional[CacheConfig]]],
-        policy: str = "lru",
+        policy: str,
         seed: int = 0,
     ) -> None:
         if policy not in _POLICIES:
             raise SimulationError(
-                f"MultiConfigHierarchyEngine: unknown replacement policy "
-                f"{policy!r}; expected 'lru', 'fifo' or 'random'"
+                f"MultiConfigHierarchyEngine: replacement policy "
+                f"{policy!r} is not simulated here; expected 'fifo' or "
+                f"'random' (LRU grids go through repro.archsim.setdist)"
             )
         self.policy = policy
         self.seed = seed
@@ -678,7 +559,6 @@ class MultiConfigHierarchyEngine:
                 [state["kind"] for state in states],
                 events=event_flags,
                 memory=False,
-                guarded=policy == "lru",
             )
             self._lane_groups.append(
                 (block_bytes, states, runner, any(event_flags))
@@ -775,16 +655,3 @@ class MultiConfigHierarchyEngine:
             )
             for lane, follower in self._point_map
         ]
-
-
-def simulate_configurations(
-    points: Sequence[Tuple[CacheConfig, Optional[CacheConfig]]],
-    trace: TraceLike,
-    chunk_size: int = DEFAULT_CHUNK,
-    policy: str = "lru",
-    seed: int = 0,
-) -> List[HierarchyResult]:
-    """One-shot convenience wrapper over :class:`MultiConfigHierarchyEngine`."""
-    return MultiConfigHierarchyEngine(points, policy, seed).run(
-        trace, chunk_size=chunk_size
-    )

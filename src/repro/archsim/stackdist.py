@@ -40,7 +40,7 @@ The *per-set* generalisation lives in :mod:`repro.archsim.setdist`
 (re-exported here): Mattson inclusion holds inside each cache set, so
 one contraction-cascade pass keyed by ``(block_bytes, n_sets)`` answers
 every set-associative ``(size, assoc)`` LRU point exactly — the engine
-behind ``estimator="setdist"`` calibration.
+behind LRU calibration.
 """
 
 from __future__ import annotations

@@ -141,9 +141,9 @@ def make_fingerprint(*parts) -> str:
     """Fold every input that determines a cached payload into one string.
 
     The contract mirrors :class:`DiskCache`: callers pass *all* inputs
-    (including format-version integers and engine/estimator tags) and the
-    resulting string keys the entry, so any input change — a new engine,
-    a bumped format — reads as a clean miss instead of a stale hit.
+    (including format-version integers) and the resulting string keys
+    the entry, so any input change — a new policy, a bumped format —
+    reads as a clean miss instead of a stale hit.
     Parts are canonicalised (see :func:`_canonical`) so equal values key
     equally no matter how a caller spells them — a ``np.float64`` weight
     and the plain float it equals land on the same entry.

@@ -535,8 +535,6 @@ class CalibrateRequest:
     spec: WorkloadSpec
     n_accesses: int
     seed: int
-    estimator: str
-    engine: str
     policy: str
     l1_grid_kb: Tuple[int, ...]
     l2_grid_kb: Tuple[int, ...]
@@ -608,9 +606,8 @@ def parse_calibrate(body) -> CalibrateRequest:
 
     body = _require_object(body, "calibrate request")
     _reject_unknown_keys(
-        body, ("workload", "n_accesses", "seed", "estimator", "engine",
-               "policy", "l1_grid_kb", "l2_grid_kb", "l1_assocs",
-               "l2_assocs"), "calibrate request"
+        body, ("workload", "n_accesses", "seed", "policy", "l1_grid_kb",
+               "l2_grid_kb", "l1_assocs", "l2_assocs"), "calibrate request"
     )
     if "workload" not in body:
         raise ValidationError(
@@ -626,43 +623,16 @@ def parse_calibrate(body) -> CalibrateRequest:
             f"{MAX_TRACE_ACCESSES}",
             status=413,
         )
-    estimator = body.get("estimator", "grid")
-    if estimator not in ("grid", "stackdist", "setdist"):
-        raise ValidationError(
-            f"unknown estimator {estimator!r}; expected 'grid', "
-            f"'stackdist' or 'setdist'"
-        )
-    engine = body.get("engine", "multiconfig")
-    if engine not in ("multiconfig", "array", "object"):
-        raise ValidationError(
-            f"unknown engine {engine!r}; expected 'multiconfig', 'array' "
-            f"or 'object'"
-        )
-    policy = _policy(body, "calibrate")
-    if estimator != "grid" and policy != "lru":
-        raise ValidationError(
-            f"estimator={estimator!r} models LRU only; use the grid "
-            "estimator for non-LRU policies"
-        )
-    l1_assocs = _assoc_list(body, "l1_assocs", "calibrate")
-    l2_assocs = _assoc_list(body, "l2_assocs", "calibrate")
-    if estimator == "stackdist" and (l1_assocs or l2_assocs):
-        raise ValidationError(
-            "estimator='stackdist' is fully-associative and cannot take "
-            "an associativity axis; use 'grid' or 'setdist'"
-        )
     return CalibrateRequest(
         spec=spec,
         n_accesses=n_accesses,
         seed=_integer(body, "seed", "calibrate", default=1, minimum=0,
                       maximum=2**31 - 1),
-        estimator=estimator,
-        engine=engine,
-        policy=policy,
+        policy=_policy(body, "calibrate"),
         l1_grid_kb=_grid_kb(body, "l1_grid_kb", "calibrate", L1_GRID_KB),
         l2_grid_kb=_grid_kb(body, "l2_grid_kb", "calibrate", L2_GRID_KB),
-        l1_assocs=l1_assocs,
-        l2_assocs=l2_assocs,
+        l1_assocs=_assoc_list(body, "l1_assocs", "calibrate"),
+        l2_assocs=_assoc_list(body, "l2_assocs", "calibrate"),
     )
 
 

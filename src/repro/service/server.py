@@ -53,9 +53,9 @@ from repro.errors import (
 )
 from repro.archsim.amat import amat_two_level
 from repro.archsim.missmodel import (
-    ESTIMATOR_CALIBRATION_ACCESSES,
     REFERENCE_L1_ASSOC,
     REFERENCE_L2_ASSOC,
+    TABLE_CALIBRATION_ACCESSES,
     MissRateModel,
     blended_miss_model,
     calibrated_miss_model,
@@ -128,15 +128,11 @@ def _calibration_result(
     model: MissRateModel,
     n_accesses: int,
     seed: int,
-    estimator: str,
-    engine: str,
     policy: str,
 ) -> dict:
     """The /v1/calibrate result payload for one measured/served model."""
     result = {
         "workload": model.workload,
-        "estimator": estimator,
-        "engine": engine,
         "policy": policy,
         "n_accesses": n_accesses,
         "seed": seed,
@@ -160,8 +156,6 @@ def _calibration_task(
     spec: WorkloadSpec,
     n_accesses: int,
     seed: int,
-    estimator: str,
-    engine: str,
     policy: str,
     l1_grid_kb: Sequence[int],
     l2_grid_kb: Sequence[int],
@@ -183,16 +177,12 @@ def _calibration_task(
         l1_grid_kb=l1_grid_kb,
         l2_grid_kb=l2_grid_kb,
         cache_dir=cache_dir,
-        estimator=estimator,
-        engine=engine,
         policy=policy,
         l1_assocs=l1_assocs,
         l2_assocs=l2_assocs,
         profile_store="always",
     )
-    return _calibration_result(
-        model, n_accesses, seed, estimator, engine, policy
-    )
+    return _calibration_result(model, n_accesses, seed, policy)
 
 
 def _grid_to_lists(grid) -> list:
@@ -322,7 +312,7 @@ class ReproService:
         store = get_store(self.config.cache_dir)
         for name in self.config.warm_profiles:
             try:
-                for n_accesses in (300_000, ESTIMATOR_CALIBRATION_ACCESSES):
+                for n_accesses in (300_000, TABLE_CALIBRATION_ACCESSES):
                     store.surface(
                         STANDARD_WORKLOADS[name],
                         policy="lru",
@@ -536,8 +526,6 @@ class ReproService:
         request = schemas.parse_calibrate(body)
         detail = {
             "workload": request.spec.name,
-            "estimator": request.estimator,
-            "engine": request.engine,
             "policy": request.policy,
         }
         # Serving tier first: an already-profiled workload (dense surface
@@ -551,8 +539,6 @@ class ReproService:
             l1_grid_kb=request.l1_grid_kb,
             l2_grid_kb=request.l2_grid_kb,
             cache_dir=self.config.cache_dir,
-            engine=request.engine,
-            estimator=request.estimator,
             policy=request.policy,
             l1_assocs=request.l1_assocs,
             l2_assocs=request.l2_assocs,
@@ -560,12 +546,7 @@ class ReproService:
         if model is not None:
             self.metrics.increment("calibrate.profile_store_hits")
             result = _calibration_result(
-                model,
-                request.n_accesses,
-                request.seed,
-                request.estimator,
-                request.engine,
-                request.policy,
+                model, request.n_accesses, request.seed, request.policy
             )
             job_id = self.jobs.submit_completed(
                 "calibrate",
@@ -584,8 +565,6 @@ class ReproService:
             request.spec,
             request.n_accesses,
             request.seed,
-            request.estimator,
-            request.engine,
             request.policy,
             request.l1_grid_kb,
             request.l2_grid_kb,

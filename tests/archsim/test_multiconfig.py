@@ -1,11 +1,12 @@
 """The batched multi-config engine must match per-point simulation *exactly*.
 
 `MultiConfigHierarchyEngine` shares one address decode, run-length
-compression, an all-caches MRU fast path, and one simulated L1 per
-distinct shape across every configuration in the grid.  None of that
-sharing may show up in the numbers: every statistic of every point must
-be bit-identical to running `ArrayTwoLevelHierarchy` once for that point
-alone — across random grids, chunk sizes, and workload shapes.
+compression, and one simulated L1 per distinct shape across every
+configuration in the grid.  None of that sharing may show up in the
+numbers: every statistic of every point must be bit-identical to running
+`ArrayTwoLevelHierarchy` once for that point alone — across random
+grids, chunk sizes, workload shapes, and both policies the engine
+simulates (FIFO and random; LRU grids go through `repro.archsim.setdist`).
 """
 
 import numpy as np
@@ -13,10 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.archsim.hierarchy import ArrayTwoLevelHierarchy
-from repro.archsim.multiconfig import (
-    MultiConfigHierarchyEngine,
-    simulate_configurations,
-)
+from repro.archsim.multiconfig import MultiConfigHierarchyEngine
 from repro.archsim.trace import TraceBuffer
 from repro.archsim.workloads import (
     SPEC2000_LIKE,
@@ -72,6 +70,9 @@ points_strategy = st.lists(
 
 chunk_sizes = st.sampled_from([1, 3, 64, 1000])
 
+POLICIES = ("fifo", "random")
+policies = st.sampled_from(POLICIES)
+
 
 def _buffer(records):
     return TraceBuffer(
@@ -89,12 +90,13 @@ def _build_points(raw_points):
     return points
 
 
-def _assert_point_matches(actual, l1_config, l2_config, records):
+def _assert_point_matches(actual, l1_config, l2_config, records, policy):
     reference = ArrayTwoLevelHierarchy(
         l1_config,
         l2_config
         if l2_config is not None
         else _config(1 << 20, l1_config.block_bytes, 16, "L2-huge"),
+        policy,
     )
     expected = reference.run(_buffer(records))
     assert actual.l1 == expected.l1
@@ -105,26 +107,31 @@ def _assert_point_matches(actual, l1_config, l2_config, records):
 
 class TestBatchedEquivalence:
     @settings(max_examples=60, deadline=None)
-    @given(records=traces, raw_points=points_strategy, chunk_size=chunk_sizes)
+    @given(records=traces, raw_points=points_strategy,
+           chunk_size=chunk_sizes, policy=policies)
     def test_every_point_bit_identical(
-        self, records, raw_points, chunk_size
+        self, records, raw_points, chunk_size, policy
     ):
         points = _build_points(raw_points)
-        engine = MultiConfigHierarchyEngine(points)
+        engine = MultiConfigHierarchyEngine(points, policy)
         results = engine.run(_buffer(records), chunk_size=chunk_size)
         assert len(results) == len(points)
         for actual, (l1_config, l2_config) in zip(results, points):
-            _assert_point_matches(actual, l1_config, l2_config, records)
+            _assert_point_matches(
+                actual, l1_config, l2_config, records, policy
+            )
 
     @settings(max_examples=20, deadline=None)
-    @given(records=traces, raw_points=points_strategy)
-    def test_chunk_size_never_changes_results(self, records, raw_points):
+    @given(records=traces, raw_points=points_strategy, policy=policies)
+    def test_chunk_size_never_changes_results(
+        self, records, raw_points, policy
+    ):
         points = _build_points(raw_points)
         outcomes = []
         for chunk_size in (1, 7, 128, 10_000):
             outcomes.append(
-                simulate_configurations(
-                    points, _buffer(records), chunk_size=chunk_size
+                MultiConfigHierarchyEngine(points, policy).run(
+                    _buffer(records), chunk_size=chunk_size
                 )
             )
         for results in outcomes[1:]:
@@ -143,12 +150,15 @@ class TestBatchedEquivalence:
             [(l1, l2) for l1 in L1_SHAPES[:3] for l2 in L2_SHAPES[:2]]
             + [(l1, None) for l1 in L1_SHAPES[:3]]
         )
-        results = simulate_configurations(points, trace)
         records = list(
             zip(trace.addresses.tolist(), np.asarray(trace.is_write).tolist())
         )
-        for actual, (l1_config, l2_config) in zip(results, points):
-            _assert_point_matches(actual, l1_config, l2_config, records)
+        for policy in POLICIES:
+            results = MultiConfigHierarchyEngine(points, policy).run(trace)
+            for actual, (l1_config, l2_config) in zip(results, points):
+                _assert_point_matches(
+                    actual, l1_config, l2_config, records, policy
+                )
 
 
 class TestEngineContract:
@@ -157,7 +167,7 @@ class TestEngineContract:
 
     def test_duplicate_points_share_simulation(self):
         points = [(self.L1, self.L2)] * 4 + [(self.L1, None)] * 2
-        engine = MultiConfigHierarchyEngine(points)
+        engine = MultiConfigHierarchyEngine(points, "fifo")
         assert engine.n_points == 6
         assert engine.n_lanes == 1
         assert engine.n_followers == 1
@@ -169,9 +179,9 @@ class TestEngineContract:
 
     def test_l1_only_points_report_empty_l2(self):
         records = [(index * 64 % 8192, False) for index in range(300)]
-        (result,) = simulate_configurations(
-            [(self.L1, None)], _buffer(records)
-        )
+        (result,) = MultiConfigHierarchyEngine(
+            [(self.L1, None)], "fifo"
+        ).run(_buffer(records))
         assert result.l2 == type(result.l2)()
         assert result.memory_accesses == 0
         assert result.l1.accesses == 300
@@ -180,13 +190,17 @@ class TestEngineContract:
         with pytest.raises(SimulationError):
             MultiConfigHierarchyEngine([(self.L1, self.L2)], policy="plru")
 
+    def test_rejects_lru(self):
+        with pytest.raises(SimulationError, match="setdist"):
+            MultiConfigHierarchyEngine([(self.L1, self.L2)], policy="lru")
+
     def test_rejects_empty_points(self):
         with pytest.raises(SimulationError):
-            MultiConfigHierarchyEngine([])
+            MultiConfigHierarchyEngine([], "fifo")
 
     def test_results_are_snapshots(self):
         records = [(index * 32, False) for index in range(100)]
-        engine = MultiConfigHierarchyEngine([(self.L1, self.L2)])
+        engine = MultiConfigHierarchyEngine([(self.L1, self.L2)], "fifo")
         engine.run(_buffer(records))
         first = engine.results()
         engine.run(_buffer(records))

@@ -1,8 +1,8 @@
-"""Non-LRU kernels of the batched engine must match per-point runs *exactly*.
+"""The FIFO and random kernels must match per-point runs *exactly*.
 
-Mirror of ``tests/archsim/test_multiconfig.py`` for the FIFO and
-seeded-random generated kernels: the fill-order slot/dict encodings,
-the dropped MRU guard, and the per-cache rng streams may not shift any
+Companion to ``tests/archsim/test_multiconfig.py`` with a direct-mapped
+L2 shape and seed coverage: the fill-order slot/dict encodings and the
+per-cache rng streams may not shift any
 statistic of any point relative to running ``ArrayTwoLevelHierarchy``
 once for that point alone — across random grids, chunk sizes, seeds,
 and workload shapes.  Random is the sharpest probe: one extra or missing
@@ -14,10 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.archsim.hierarchy import ArrayTwoLevelHierarchy
-from repro.archsim.multiconfig import (
-    MultiConfigHierarchyEngine,
-    simulate_configurations,
-)
+from repro.archsim.multiconfig import MultiConfigHierarchyEngine
 from repro.archsim.trace import TraceBuffer
 from repro.archsim.workloads import (
     SPEC2000_LIKE,
@@ -27,7 +24,7 @@ from repro.archsim.workloads import (
 )
 from repro.cache.config import CacheConfig
 
-POLICIES = ("lru", "fifo", "random")
+POLICIES = ("fifo", "random")
 
 
 def _config(size_bytes, block_bytes, associativity, name):
@@ -77,7 +74,7 @@ points_strategy = st.lists(
 
 chunk_sizes = st.sampled_from([1, 3, 64, 1000])
 
-policies = st.sampled_from(["fifo", "random"])
+policies = st.sampled_from(POLICIES)
 
 
 def _buffer(records):
@@ -138,9 +135,8 @@ class TestPolicyEquivalence:
         outcomes = []
         for chunk_size in (1, 7, 128, 10_000):
             outcomes.append(
-                simulate_configurations(
-                    points, _buffer(records), chunk_size=chunk_size,
-                    policy=policy,
+                MultiConfigHierarchyEngine(points, policy).run(
+                    _buffer(records), chunk_size=chunk_size
                 )
             )
         for results in outcomes[1:]:
@@ -175,7 +171,7 @@ class TestPolicyEquivalence:
             [(l1, l2) for l1 in L1_SHAPES[:3] for l2 in L2_SHAPES[:2]]
             + [(l1, None) for l1 in L1_SHAPES[:3]]
         )
-        results = simulate_configurations(points, trace, policy=policy)
+        results = MultiConfigHierarchyEngine(points, policy).run(trace)
         records = list(
             zip(trace.addresses.tolist(), np.asarray(trace.is_write).tolist())
         )

@@ -4,9 +4,9 @@
 (sizes x assocs) grid by slicing one dense precomputed surface.  Nothing
 about that sharing may show up in the numbers: across random sub-grids,
 associativity axes and replacement policies, every rate must equal the
-one a direct trace pass over exactly the requested grid produces —
-``profile_store="off"`` with the multiconfig engine, and (for LRU) the
-per-set Mattson cascade too.  For FIFO/random this pins down the
+one a direct trace pass over exactly the requested grid produces
+(``profile_store="off"``: the per-set Mattson cascade for LRU, the
+multiconfig sweep for FIFO/random).  For FIFO/random this pins down the
 per-lane RNG independence the union pass relies on: adding lanes to the
 superset grid must not perturb any individual lane's stream.
 """
@@ -90,12 +90,6 @@ class TestStoreSliceIdentity:
             SPEC2000_LIKE, profile_store="off", **kwargs
         )
         assert _curves(served) == _curves(direct)
-        if policy == "lru":
-            cascade = measure_miss_model(
-                SPEC2000_LIKE, estimator="setdist",
-                profile_store="off", **kwargs
-            )
-            assert _curves(served) == _curves(cascade)
 
     def test_warm_slice_runs_zero_trace_passes(self, tmp_path,
                                                monkeypatch):

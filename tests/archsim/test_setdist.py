@@ -20,6 +20,7 @@ from repro.archsim.setassoc import ArraySetAssociativeCache
 from repro.archsim.setdist import (
     SetDistanceProfile,
     per_set_profiles,
+    reference_event_stream,
     two_level_profiles,
 )
 from repro.archsim.stackdist import stack_distance_profile
@@ -145,6 +146,63 @@ class TestPerSetEquivalence:
                     l2_profiles[n_sets].total_accesses
                     == expected.l2.accesses
                 )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        records=traces,
+        ref_sets=st.sampled_from([1, 2, 4, 8, 16]),
+        ref_assoc=st.sampled_from([1, 2]),
+        l2_set_counts=st.lists(
+            st.sampled_from([1, 2, 4, 8, 16, 32]),
+            min_size=1,
+            max_size=3,
+            unique=True,
+        ),
+    )
+    def test_reference_event_stream_matches_oracle(
+        self, records, ref_sets, ref_assoc, l2_set_counts
+    ):
+        """The reconstructed demand-miss + dirty-write-back stream behind
+        the reference L1, profiled per set on its own, reproduces the
+        oracle L2's accesses and misses exactly."""
+        self._assert_event_stream_exact(
+            _buffer(records), ref_sets, ref_assoc, l2_set_counts
+        )
+
+    def test_reference_event_stream_on_workload_trace(self):
+        buffer = synthetic_trace_buffer(SPEC2000_LIKE, 20_000, seed=5)
+        self._assert_event_stream_exact(buffer, 64, 2, [16, 64, 256])
+
+    @staticmethod
+    def _assert_event_stream_exact(buffer, ref_sets, ref_assoc,
+                                   l2_set_counts):
+        stream, total = reference_event_stream(
+            buffer, ref_sets=ref_sets, ref_assoc=ref_assoc,
+            l1_block_bytes=32, l2_block_bytes=64,
+        )
+        assert stream.size == total
+        profiles = per_set_profiles(
+            stream * 64, set_counts=l2_set_counts, block_bytes=64,
+            depth_cap=8,
+        )
+        l1_config = CacheConfig(
+            size_bytes=ref_sets * ref_assoc * 32,
+            block_bytes=32,
+            associativity=ref_assoc,
+        )
+        for n_sets in l2_set_counts:
+            for assoc in (1, 2, 4, 8):
+                expected = ArrayTwoLevelHierarchy(
+                    l1_config,
+                    CacheConfig(
+                        size_bytes=n_sets * assoc * 64,
+                        block_bytes=64,
+                        associativity=assoc,
+                    ),
+                    "lru",
+                ).run(buffer)
+                assert profiles[n_sets].total_accesses == expected.l2.accesses
+                assert profiles[n_sets].miss_count(assoc) == expected.l2.misses
 
     @settings(max_examples=40, deadline=None)
     @given(records=traces, depth_cap=st.sampled_from([2, 8, 32]))

@@ -12,8 +12,15 @@ import pytest
 
 from repro import units
 from repro.archsim.amat import amat_two_level
-from repro.archsim.missmodel import calibrated_miss_model, measure_miss_model
-from repro.archsim.workloads import STANDARD_WORKLOADS
+from repro.archsim.hierarchy import ArrayTwoLevelHierarchy
+from repro.archsim.missmodel import (
+    L1_GRID_KB,
+    L2_GRID_KB,
+    _point_configs,
+    calibrated_miss_model,
+    measure_miss_model,
+)
+from repro.archsim.workloads import STANDARD_WORKLOADS, synthetic_trace_buffer
 from repro.cache.assignment import COMPONENT_NAMES
 from repro.cache.cache_model import CacheModel
 from repro.cache.config import CacheConfig, l1_config, l2_config
@@ -209,8 +216,7 @@ def test_calibrate_job_carries_policy(client, server):
 
 def test_calibrate_job_matches_direct_measurement(client, server):
     job = client.calibrate(workload="spec2000", n_accesses=50_000, seed=7,
-                           estimator="grid", l1_grid_kb=[8, 16],
-                           l2_grid_kb=[256, 512])
+                           l1_grid_kb=[8, 16], l2_grid_kb=[256, 512])
     assert job["status"] == "queued"
     done = client.wait_for_job(job["job_id"], timeout=180)
     assert done["status"] == "done"
@@ -228,23 +234,27 @@ def test_calibrate_job_matches_direct_measurement(client, server):
 
 
 def test_calibrate_setdist_estimator_matches_grid(client, server):
-    # The per-set Mattson estimator is exact for LRU: the served curves
-    # must be *identical* to the grid estimator's, not just close.
-    job = client.calibrate(workload="tpcc", n_accesses=20_000, seed=3,
-                           estimator="setdist")
+    # LRU calibrations take the per-set Mattson route, which is exact:
+    # the served curves must be *identical* to simulating every grid
+    # point on its own, not just close.
+    job = client.calibrate(workload="tpcc", n_accesses=20_000, seed=3)
     done = client.wait_for_job(job["job_id"], timeout=180)
     assert done["status"] == "done"
-    direct = measure_miss_model(
-        STANDARD_WORKLOADS["tpcc"], n_accesses=20_000, seed=3,
-        estimator="grid",
-        cache_dir=server.service.config.cache_dir,
+    assert "estimator" not in done["result"] and "engine" not in done
+    trace = synthetic_trace_buffer(
+        STANDARD_WORKLOADS["tpcc"], 20_000, seed=3, block_bytes=64
     )
-    served_l1 = {int(size): rate for size, rate in done["result"]["l1_curve"]}
-    for size, rate in direct.l1_curve:
-        assert served_l1[int(size)] == rate
-    served_l2 = {int(size): rate for size, rate in done["result"]["l2_curve"]}
-    for size, rate in direct.l2_curve:
-        assert served_l2[int(size)] == rate
+    for level, kbs in (("l1", L1_GRID_KB), ("l2", L2_GRID_KB)):
+        served = {int(size): rate
+                  for size, rate in done["result"][f"{level}_curve"]}
+        for kb in kbs:
+            result = ArrayTwoLevelHierarchy(*_point_configs(level, kb)).run(
+                trace
+            )
+            assert served[kb * 1024] == (
+                result.l1_miss_rate if level == "l1"
+                else result.l2_local_miss_rate
+            )
 
 
 def test_metrics_shape(client):

@@ -19,12 +19,10 @@ from repro.service.jobs import CANCELLED, JobManager, TIMEOUT
 CALIBRATE_SLOW = {
     "workload": "spec2000",
     "n_accesses": 1_000_000,
-    "estimator": "grid",
 }
 CALIBRATE_FAST = {
     "workload": "tpcc",
     "n_accesses": 20_000,
-    "estimator": "stackdist",
 }
 
 

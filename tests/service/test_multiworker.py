@@ -165,7 +165,7 @@ def test_cluster_metrics_see_every_worker(deployment):
 def test_completed_job_survives_worker_kill(deployment):
     with _client(deployment["port"]) as client:
         job = client.calibrate(
-            workload="tpcc", n_accesses=20_000, estimator="stackdist"
+            workload="tpcc", n_accesses=20_000
         )
         done = client.wait_for_job(job["job_id"], timeout=300)
     assert done["status"] == "done"
@@ -187,7 +187,7 @@ def test_inflight_job_resurfaces_failed_and_retryable(deployment):
         # Fresh seed so no cache tier answers instantly, and a grid pass
         # heavy enough to still be running when the kill lands.
         job = client.calibrate(
-            workload="spec2000", n_accesses=600_000, estimator="grid",
+            workload="spec2000", n_accesses=600_000,
             seed=int.from_bytes(os.urandom(3), "big"),
         )
         deadline = time.monotonic() + 60.0

@@ -136,13 +136,6 @@ class TestSchemaValidation:
         self.assert_400(client, "/v1/calibrate",
                         {"workload": "spec2000", "l1_assocs": []})
 
-    def test_rejects_stackdist_with_assocs(self, client):
-        self.assert_400(
-            client, "/v1/calibrate",
-            {"workload": "spec2000", "estimator": "stackdist",
-             "l1_assocs": [1, 2]},
-        )
-
 
 class TestWarmProfiles:
     def test_unknown_warm_workload_is_rejected(self, tmp_path):

@@ -151,32 +151,21 @@ class TestOtherEndpointValidation:
         _assert_envelope(caught.value.status, caught.value.envelope, 413)
 
     def test_calibrate_unknown_estimator(self, client):
-        with pytest.raises(ServiceError) as caught:
-            client.calibrate(workload="spec2000", estimator="oracle")
-        _assert_envelope(caught.value.status, caught.value.envelope, 400)
+        # Calibration takes one route per policy: the former ``estimator``
+        # and ``engine`` selectors are plain unknown fields now.
+        for field, value in (("estimator", "oracle"),
+                             ("estimator", "setdist"), ("engine", "array")):
+            with pytest.raises(ServiceError) as caught:
+                client.calibrate(workload="spec2000", **{field: value})
+            _assert_envelope(caught.value.status, caught.value.envelope, 400)
+            message = caught.value.envelope["error"]["message"]
+            assert "unknown field" in message and field in message
 
     def test_calibrate_unknown_policy(self, client):
         with pytest.raises(ServiceError) as caught:
             client.calibrate(workload="spec2000", policy="plru")
         _assert_envelope(caught.value.status, caught.value.envelope, 400)
         assert "policy" in caught.value.envelope["error"]["message"]
-
-    def test_calibrate_stackdist_rejects_non_lru_policy(self, client):
-        with pytest.raises(ServiceError) as caught:
-            client.calibrate(workload="spec2000", estimator="stackdist",
-                             policy="fifo")
-        _assert_envelope(caught.value.status, caught.value.envelope, 400)
-
-    def test_calibrate_setdist_rejects_non_lru_policy(self, client):
-        # Per-set Mattson distances have no meaning under non-LRU
-        # replacement: the schema layer must refuse before a job is
-        # queued, for every non-LRU policy.
-        for policy in ("fifo", "random"):
-            with pytest.raises(ServiceError) as caught:
-                client.calibrate(workload="spec2000", estimator="setdist",
-                                 policy=policy)
-            _assert_envelope(caught.value.status, caught.value.envelope, 400)
-            assert "lru" in caught.value.envelope["error"]["message"].lower()
 
     def test_amat_unknown_policy(self, client):
         with pytest.raises(ServiceError) as caught:

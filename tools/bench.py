@@ -20,24 +20,25 @@ Four suites, one per performance PR:
   single-sweep latency, a concurrency-8 closed-loop load run (the
   batching acceptance metric is mean evaluate_grid calls per sweep
   request < 1), and a calibration job round trip.
-* ``calib`` (PRs 4/5/6) — cold grid calibration at 2 M accesses with the
-  legacy one-simulation-per-point engine vs the batched multi-config
-  engine, once per replacement policy (acceptance: >= 5x for LRU,
-  >= 3x for FIFO and random — the non-LRU kernels give up the
-  all-caches MRU guard — curves bit-identical in every case), plus the
-  warm disk-cache reload, plus the per-set Mattson profiler
-  (``estimator="setdist"``): engine-only best-of-N timings on one
-  shared 2 M-access trace for the 12-point default grid vs the batched
-  multi-config engine (acceptance: >= 5x, rates bit-identical) and for
-  a dense ~200-point (size, assoc) grid (acceptance: <= 1.2x the
-  12-point trace pass — the cascade's cost is grid-size independent).
-  The calib suite also times the workload profile store (PR 7): a cold
-  ``profile_store="always"`` calibration that computes the dense
-  (size, assoc) surface, then the warm repeat served entirely from the
-  resident surface with zero trace passes (acceptance: >= 50x for the
-  12-point default grid, rates bit-identical to a direct multiconfig
-  run, compute counter flat on the warm serve).  The profile-store
-  section is written to its own report, ``BENCH_7.json``.
+* ``calib`` (PRs 4/5/6) — cold grid calibration at 2 M accesses with
+  one ``ArrayTwoLevelHierarchy`` simulation per point vs
+  ``measure_miss_model``'s route for the policy (the per-set Mattson
+  pass for LRU, the batched multi-config sweep for FIFO and random),
+  once per replacement policy (acceptance: >= 5x for LRU, >= 3x for
+  FIFO and random, curves bit-identical in every case), plus the warm
+  disk-cache reload, plus engine-only best-of-N timings of the per-set
+  Mattson profiler on one shared 2 M-access trace for the 12-point
+  default grid vs per-point simulation (acceptance: >= 5x, rates
+  bit-identical) and for a dense ~200-point (size, assoc) grid
+  (acceptance: <= 1.2x the 12-point trace pass — the cascade's cost is
+  grid-size independent).  The calib suite also times the workload
+  profile store (PR 7): a cold ``profile_store="always"`` calibration
+  that computes the dense (size, assoc) surface, then the warm repeat
+  served entirely from the resident surface with zero trace passes
+  (acceptance: >= 50x for the 12-point default grid, rates
+  bit-identical to a direct run, compute counter flat on the warm
+  serve).  The profile-store section is written to its own report,
+  ``BENCH_7.json``.
 * ``campaign`` (PR 8) — runs one >=200-unit declarative campaign on a
   fresh in-process daemon and the same work as a naive serial per-unit
   client loop (fixed 0.25 s job polling) on a second fresh daemon.
@@ -54,13 +55,11 @@ same run on the same machine).
 ``--smoke`` is the CI gate: it profiles a 200k-access trace, exits
 non-zero if the wall time regresses beyond 3x the recorded pre-PR
 baseline (generous enough to absorb shared-runner noise while still
-catching an accidental return to the O(n*d) path), asserts the batched
-multi-config engine matches the legacy per-point engine on a small
-grid for every replacement policy (lru, fifo, random), asserts the
-per-set Mattson estimator (``estimator="setdist"``) reproduces the
-multi-config LRU curves bit-identically, and then runs the in-process
-service smoke (tools/service_smoke.py) so a broken daemon also fails
-the gate.
+catching an accidental return to the O(n*d) path), asserts
+``measure_miss_model`` matches one ``ArrayTwoLevelHierarchy`` run per
+point on a small grid for every replacement policy (lru, fifo, random),
+and then runs the in-process service smoke (tools/service_smoke.py) so
+a broken daemon also fails the gate.
 """
 
 from __future__ import annotations
@@ -318,8 +317,34 @@ def run_archsim_suite(output: str) -> int:
     return 0
 
 
+def _per_point_rates(points, trace, policy: str) -> list:
+    """Oracle rates: one ``ArrayTwoLevelHierarchy`` run per grid point."""
+    from repro.archsim.hierarchy import ArrayTwoLevelHierarchy
+    from repro.archsim.missmodel import _point_configs
+
+    rates = []
+    for level, kb in points:
+        result = ArrayTwoLevelHierarchy(
+            *_point_configs(level, kb), policy
+        ).run(trace)
+        rates.append(result.l1_miss_rate if level == "l1"
+                     else result.l2_local_miss_rate)
+    return rates
+
+
+def _model_rates(model, points) -> list:
+    """A model's rates at ``(level, kb)`` reference-shape points."""
+    curves = {"l1": dict(model.l1_curve), "l2": dict(model.l2_curve)}
+    return [curves[level][kb * 1024] for level, kb in points]
+
+
+def _grid(l1_grid_kb, l2_grid_kb) -> list:
+    return ([("l1", kb) for kb in l1_grid_kb]
+            + [("l2", kb) for kb in l2_grid_kb])
+
+
 def run_smoke() -> int:
-    """CI regression gate: timing + engine equality + service contract."""
+    """CI regression gate: timing + oracle equality + service contract."""
     from repro.archsim.missmodel import measure_miss_model
     from repro.archsim.stackdist import stack_distance_profile
     from repro.archsim.workloads import SPEC2000_LIKE, synthetic_trace_buffer
@@ -336,39 +361,24 @@ def run_smoke() -> int:
         return 1
 
     grids = {"l1_grid_kb": (4, 8), "l2_grid_kb": (128, 256)}
+    points = _grid(**grids)
+    check_trace = synthetic_trace_buffer(SPEC2000_LIKE, 50_000, seed=1,
+                                         block_bytes=64)
     for policy in ("lru", "fifo", "random"):
-        batched = measure_miss_model(
+        measured = _model_rates(measure_miss_model(
             SPEC2000_LIKE, n_accesses=50_000, use_disk_cache=False,
-            engine="multiconfig", policy=policy, **grids,
-        )
-        legacy = measure_miss_model(
-            SPEC2000_LIKE, n_accesses=50_000, use_disk_cache=False,
-            engine="array", policy=policy, **grids,
-        )
-        if batched != legacy:
-            print(f"FAIL: multiconfig engine diverged from the per-point "
-                  f"engine on a 2x2 grid (policy={policy}):\n"
-                  f"  multiconfig: {batched}\n  per-point:   {legacy}",
+            profile_store="off", policy=policy, **grids,
+        ), points)
+        oracle = _per_point_rates(points, check_trace, policy)
+        if measured != oracle:
+            print(f"FAIL: measure_miss_model diverged from per-point "
+                  f"ArrayTwoLevelHierarchy runs on a 2x2 grid "
+                  f"(policy={policy}):\n"
+                  f"  measured:  {measured}\n  per-point: {oracle}",
                   file=sys.stderr)
             return 1
-    print("smoke: multiconfig == per-point on the 2x2 calibration grid "
-          "for lru, fifo and random")
-
-    setdist = measure_miss_model(
-        SPEC2000_LIKE, n_accesses=50_000, use_disk_cache=False,
-        estimator="setdist", **grids,
-    )
-    grid = measure_miss_model(
-        SPEC2000_LIKE, n_accesses=50_000, use_disk_cache=False,
-        engine="multiconfig", policy="lru", **grids,
-    )
-    if setdist != grid:
-        print(f"FAIL: setdist estimator diverged from the multiconfig "
-              f"grid estimator (both must be exact for LRU):\n"
-              f"  setdist:     {setdist}\n  multiconfig: {grid}",
-              file=sys.stderr)
-        return 1
-    print("smoke: setdist estimator == multiconfig grid curves (lru)")
+    print("smoke: measure_miss_model == per-point simulation on the 2x2 "
+          "calibration grid for lru, fifo and random")
     import service_smoke
 
     try:
@@ -385,19 +395,18 @@ def run_smoke() -> int:
 # calib suite (PRs 4/5)
 # --------------------------------------------------------------------------
 
-#: Acceptance floor for the batched LRU engine: cold grid calibration
-#: must be at least this many times faster than one simulation per grid
-#: point.
+#: Acceptance floor for the LRU route: cold grid calibration must be at
+#: least this many times faster than one simulation per grid point.
 CALIB_SPEEDUP_FLOOR = 5.0
 
-#: Floor for the FIFO and random kernels: the non-LRU policies cannot use
-#: the all-caches MRU guard (Mattson set refinement holds only for stack
-#: algorithms), so their batched sweep amortises less per access.
+#: Floor for the FIFO and random route: the multi-config sweep still
+#: simulates every cache, so it amortises less per access than the LRU
+#: per-set pass.
 NONLRU_CALIB_SPEEDUP_FLOOR = 3.0
 
 #: Acceptance floor for the per-set Mattson profiler: one contraction
-#: cascade over a cold 2 M-access LRU trace must beat the batched
-#: multi-config sweep of the same 12-point grid by at least this much,
+#: cascade over a cold 2 M-access LRU trace must beat one per-point
+#: simulation of each of the same 12 grid points by at least this much,
 #: engine-only, bit-identical rates.
 SETDIST_SPEEDUP_FLOOR = 5.0
 
@@ -430,7 +439,7 @@ def bench_profile_store(n: int = 2_000_000) -> dict:
     12-point default grid off it.  Warm: the identical call again — the
     surface is resident in the memory tier, so the grid is a pure slice
     and the store's compute counter must stay flat.  Both are compared
-    against ``profile_store="off"`` (direct multiconfig sweep) for
+    against ``profile_store="off"`` (direct setdist pass) for
     bit-identity.  The missmodel disk cache is disabled throughout so
     the timings isolate the store tiers.
     """
@@ -459,7 +468,7 @@ def bench_profile_store(n: int = 2_000_000) -> dict:
         SPEC2000_LIKE, n_accesses=n, use_disk_cache=False,
         profile_store="off",
     ))
-    print(f"  direct (store off, multiconfig sweep):  "
+    print(f"  direct (store off, setdist pass):     "
           f"{direct_seconds:.3f} s")
 
     identical = cold == warm == direct
@@ -483,7 +492,7 @@ def bench_profile_store(n: int = 2_000_000) -> dict:
         "grid_points": 12,
         "cold_surface_pass_seconds": cold_seconds,
         "warm_store_serve_seconds": warm_seconds,
-        "direct_multiconfig_seconds": direct_seconds,
+        "direct_seconds": direct_seconds,
         "speedup_warm_vs_cold": speedup,
         "speedup_floor": PROFILE_STORE_WARM_SPEEDUP_FLOOR,
         "rates_bit_identical_to_direct": identical,
@@ -493,11 +502,10 @@ def bench_profile_store(n: int = 2_000_000) -> dict:
 
 
 def bench_setdist(n: int = 2_000_000) -> dict:
-    """Per-set Mattson profiler vs the multi-config engine, engine-only.
+    """Per-set Mattson profiler vs per-point simulation, engine-only.
 
     All timings share one pre-materialised trace so trace generation
-    (which both estimators pay identically inside
-    ``measure_miss_model``) cannot dilute the engine ratio.  The dense
+    (which both paths pay identically) cannot dilute the engine ratio.  The dense
     grid covers every associativity 1..16 at each default L1 set count
     and 1..17 at each L2 set count — every (size, assoc) pair on the
     reference block sizes, ~200 points — to show the cascade's cost
@@ -508,26 +516,26 @@ def bench_setdist(n: int = 2_000_000) -> dict:
     from repro.archsim.workloads import SPEC2000_LIKE, synthetic_trace_buffer
 
     trace = synthetic_trace_buffer(SPEC2000_LIKE, n, seed=1)
-    points = ([("l1", kb) for kb in missmodel.L1_GRID_KB]
-              + [("l2", kb) for kb in missmodel.L2_GRID_KB])
-    print(f"setdist estimator ({n:,} accesses, shared trace, "
+    points = _grid(missmodel.L1_GRID_KB, missmodel.L2_GRID_KB)
+    print(f"setdist profiler ({n:,} accesses, shared trace, "
           f"engine-only):")
 
     setdist_seconds, setdist_rates = _best_of(
         3, lambda: missmodel._setdist_rates(points, trace))
     print(f"  per-set cascade, {len(points)}-point default grid: "
           f"{setdist_seconds:.3f} s (best of 3)")
-    multi_seconds, multi_rates = _best_of(
-        2, lambda: missmodel._multiconfig_rates(points, trace))
-    print(f"  multiconfig sweep, same grid:          "
-          f"{multi_seconds:.3f} s (best of 2)")
+    per_point_seconds, per_point_rates = _timed(
+        lambda: _per_point_rates(points, trace, "lru"))
+    print(f"  per-point simulation, same grid:       "
+          f"{per_point_seconds:.3f} s")
 
-    identical = setdist_rates == multi_rates
+    identical = setdist_rates == per_point_rates
     if not identical:
-        print("FAIL: setdist rates diverged from the multiconfig sweep:\n"
-              f"  setdist:     {setdist_rates}\n"
-              f"  multiconfig: {multi_rates}", file=sys.stderr)
-    speedup = multi_seconds / setdist_seconds if setdist_seconds else 0.0
+        print("FAIL: setdist rates diverged from per-point simulation:\n"
+              f"  setdist:   {setdist_rates}\n"
+              f"  per-point: {per_point_rates}", file=sys.stderr)
+    speedup = (per_point_seconds / setdist_seconds
+               if setdist_seconds else 0.0)
 
     l1_sets = [missmodel._point_sets("l1", kb)
                for kb in missmodel.L1_GRID_KB]
@@ -572,7 +580,7 @@ def bench_setdist(n: int = 2_000_000) -> dict:
     ok = (identical and contains
           and speedup >= SETDIST_SPEEDUP_FLOOR
           and ratio <= SETDIST_GRID_RATIO_CEIL)
-    print(f"  speedup vs multiconfig: {speedup:.1f}x (floor "
+    print(f"  speedup vs per-point: {speedup:.1f}x (floor "
           f"{SETDIST_SPEEDUP_FLOOR:.0f}x), dense/default ratio "
           f"{ratio:.2f}x (ceiling {SETDIST_GRID_RATIO_CEIL:.1f}x), "
           f"rates {'identical' if identical and contains else 'DIVERGED'}"
@@ -582,12 +590,12 @@ def bench_setdist(n: int = 2_000_000) -> dict:
         "dense_grid_points": dense_points,
         "setdist_default_grid_seconds": setdist_seconds,
         "setdist_dense_grid_seconds": dense_seconds,
-        "multiconfig_default_grid_seconds": multi_seconds,
-        "speedup_setdist_vs_multiconfig": speedup,
+        "per_point_default_grid_seconds": per_point_seconds,
+        "speedup_setdist_vs_per_point": speedup,
         "speedup_floor": SETDIST_SPEEDUP_FLOOR,
         "dense_vs_default_ratio": ratio,
         "dense_ratio_ceiling": SETDIST_GRID_RATIO_CEIL,
-        "rates_bit_identical_to_multiconfig": identical,
+        "rates_bit_identical_to_per_point": identical,
         "dense_grid_contains_default_points": contains,
         "pass": ok,
     }
@@ -596,41 +604,47 @@ def bench_setdist(n: int = 2_000_000) -> dict:
 def run_calib_suite(
     output: str, n: int = 2_000_000, profile_output: str = "BENCH_7.json"
 ) -> int:
-    """Cold per-point vs batched calibration per policy; equal curves."""
+    """Cold per-point vs measured calibration per policy; equal curves."""
+    from repro.archsim.missmodel import L1_GRID_KB, L2_GRID_KB
     from repro.archsim.missmodel import measure_miss_model
-    from repro.archsim.workloads import SPEC2000_LIKE
+    from repro.archsim.workloads import SPEC2000_LIKE, synthetic_trace_buffer
 
     floors = {
         "lru": CALIB_SPEEDUP_FLOOR,
         "fifo": NONLRU_CALIB_SPEEDUP_FLOOR,
         "random": NONLRU_CALIB_SPEEDUP_FLOOR,
     }
+    points = _grid(L1_GRID_KB, L2_GRID_KB)
     policies = {}
     passed = True
     for policy, floor in floors.items():
         print(f"grid calibration ({n:,} accesses, default grids, "
               f"policy={policy}):")
-        # profile_store="off" keeps this an engine measurement — a
-        # resident surface would otherwise answer the multiconfig call
-        # by slicing (that serving tier is benched separately, BENCH_7).
-        legacy_seconds, legacy = _timed(lambda p=policy: measure_miss_model(
-            SPEC2000_LIKE, n_accesses=n, use_disk_cache=False,
-            engine="array", policy=p, profile_store="off",
+        # Both sides generate the trace.  profile_store="off" keeps this
+        # an engine measurement — a resident surface would otherwise
+        # answer by slicing (that serving tier is benched separately,
+        # BENCH_7).
+        legacy_seconds, legacy = _timed(lambda p=policy: _per_point_rates(
+            points,
+            synthetic_trace_buffer(SPEC2000_LIKE, n, seed=1, block_bytes=64),
+            p,
         ))
-        print(f"  per-point engine (legacy): {legacy_seconds:.3f} s")
-        batched_seconds, batched = _timed(lambda p=policy: measure_miss_model(
+        print(f"  per-point simulation:  {legacy_seconds:.3f} s")
+        measured_seconds, model = _timed(lambda p=policy: measure_miss_model(
             SPEC2000_LIKE, n_accesses=n, use_disk_cache=False,
-            engine="multiconfig", policy=p, profile_store="off",
+            policy=p, profile_store="off",
         ))
-        print(f"  multiconfig engine:        {batched_seconds:.3f} s")
+        measured = _model_rates(model, points)
+        print(f"  measure_miss_model:    {measured_seconds:.3f} s")
 
-        identical = batched == legacy
+        identical = measured == legacy
         if not identical:
-            print(f"FAIL: engines disagree on the calibrated curves "
-                  f"(policy={policy}):\n"
-                  f"  multiconfig: {batched}\n  per-point:   {legacy}",
+            print(f"FAIL: measure_miss_model disagrees with per-point "
+                  f"simulation (policy={policy}):\n"
+                  f"  measured:  {measured}\n  per-point: {legacy}",
                   file=sys.stderr)
-        speedup = legacy_seconds / batched_seconds if batched_seconds else 0.0
+        speedup = (legacy_seconds / measured_seconds
+                   if measured_seconds else 0.0)
         policy_pass = identical and speedup >= floor
         passed = passed and policy_pass
         print(f"  speedup: {speedup:.1f}x (floor {floor:.0f}x, curves "
@@ -638,8 +652,8 @@ def run_calib_suite(
               f"{'PASS' if policy_pass else 'FAIL'})")
         policies[policy] = {
             "cold_per_point_seconds": legacy_seconds,
-            "cold_multiconfig_seconds": batched_seconds,
-            "speedup_multiconfig_vs_per_point": speedup,
+            "cold_measure_seconds": measured_seconds,
+            "speedup_measure_vs_per_point": speedup,
             "speedup_floor": floor,
             "curves_bit_identical": identical,
             "pass": policy_pass,
@@ -697,9 +711,9 @@ def run_calib_suite(
         handle.write("\n")
     print(f"\ncalib suite: {'PASS' if passed else 'FAIL'} "
           f"(" + ", ".join(
-              f"{policy} {entry['speedup_multiconfig_vs_per_point']:.1f}x"
+              f"{policy} {entry['speedup_measure_vs_per_point']:.1f}x"
               for policy, entry in policies.items())
-          + f", setdist {setdist['speedup_setdist_vs_multiconfig']:.1f}x"
+          + f", setdist {setdist['speedup_setdist_vs_per_point']:.1f}x"
           f" @ {setdist['dense_vs_default_ratio']:.2f}x dense ratio, "
           f"profile store {profile['speedup_warm_vs_cold']:.0f}x warm)")
     print(f"report written to {output}")
@@ -752,11 +766,11 @@ def run_service_suite(output: str) -> int:
               f"{load['batches']} batches)")
 
         job_seconds, _ = _timed(lambda: client.wait_for_job(
-            client.calibrate(workload="spec2000", n_accesses=100_000,
-                             estimator="stackdist")["job_id"],
+            client.calibrate(workload="spec2000", n_accesses=100_000)[
+                "job_id"],
             timeout=300,
         ))
-        print(f"  calibration job (100k, stackdist): "
+        print(f"  calibration job (100k, lru):       "
               f"{job_seconds:.2f} s round trip")
         metrics = client.metrics()
     finally:

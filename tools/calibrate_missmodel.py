@@ -3,9 +3,9 @@
 Run:  PYTHONPATH=src python tools/calibrate_missmodel.py
 Paste the printed CALIBRATED_TABLES body into repro/archsim/missmodel.py.
 
-Uses the vectorized trace generator + the batched multi-configuration
-engine (the same path ``measure_miss_model`` defaults to), which sweeps
-the whole (level, size) grid in one pass over the trace — a full
+Calls ``measure_miss_model``, which answers the whole (level, size) grid
+in one pass over the trace — the per-set Mattson profiler for LRU, the
+batched multi-configuration engine for FIFO and random — so a full
 2 M-access calibration of all three suites takes a few seconds.
 """
 import argparse
@@ -20,17 +20,6 @@ N = 2_000_000
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--n-accesses", type=int, default=N)
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="fan calibration points over N worker processes")
-    parser.add_argument("--engine", default="multiconfig",
-                        choices=("multiconfig", "array", "object"))
-    parser.add_argument("--estimator", default="grid",
-                        choices=("grid", "stackdist", "setdist"),
-                        help="'grid' simulates every point; 'setdist' "
-                             "answers the whole LRU grid bit-identically "
-                             "from one per-set stack-distance pass; "
-                             "'stackdist' is the fully-associative "
-                             "approximation")
     parser.add_argument("--policy", default="lru",
                         choices=("lru", "fifo", "random"),
                         help="replacement policy at both levels (the "
@@ -58,9 +47,6 @@ def main() -> None:
             spec,
             n_accesses=arguments.n_accesses,
             seed=1,
-            jobs=arguments.jobs,
-            engine=arguments.engine,
-            estimator=arguments.estimator,
             policy=arguments.policy,
             l1_assocs=l1_assocs,
             l2_assocs=l2_assocs,
@@ -92,7 +78,6 @@ def main() -> None:
         print(f'    ),')
     print("}")
     print(f"# measured with n_accesses={arguments.n_accesses}, seed=1, "
-          f"engine={arguments.engine}, estimator={arguments.estimator}, "
           f"policy={arguments.policy}, "
           f"l1_assocs={l1_assocs}, l2_assocs={l2_assocs}, "
           f"in {time.time()-t0:.0f}s")
