@@ -20,7 +20,7 @@ component automatically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, Iterator, Tuple
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from repro.errors import CircuitError
 from repro.technology.bptm import Technology
 from repro.technology.scaling import ToxScalingRule
 from repro.devices import delay as _delay
+from repro.devices.stack import two_stack_factor
 from repro.circuits.sram_cell import SramCell
 from repro.circuits.sense_amp import SenseAmplifier
 from repro.circuits.decoder import RowDecoder
@@ -93,7 +94,7 @@ class _ComponentBase:
         The sweep vectorizes along the Vth axis: buffer-chain structure
         and all geometry depend only on Tox, so each Tox column is one
         broadcast evaluation of the underlying device models over the
-        whole Vth vector.
+        whole Vth vector (see :meth:`_grid_columns`).
         """
         vths = np.atleast_1d(np.asarray(vths, dtype=float))
         toxes = np.atleast_1d(np.asarray(toxes, dtype=float))
@@ -101,12 +102,22 @@ class _ComponentBase:
         delays = np.empty(shape)
         leakages = np.empty(shape)
         energies = np.empty(shape)
-        for j in range(toxes.size):
-            cost = self._evaluate(vths, float(toxes[j]))
+        for j, cost in enumerate(self._grid_columns(vths, toxes)):
             delays[:, j] = cost.delay
             leakages[:, j] = cost.leakage_power
             energies[:, j] = cost.dynamic_energy
         return delays, leakages, energies
+
+    def _grid_columns(
+        self, vths: np.ndarray, toxes: np.ndarray
+    ) -> Iterator[ComponentCost]:
+        """Yield the cost over the whole Vth vector at each Tox in turn.
+
+        A component whose columns share work overrides this hook, not
+        :meth:`evaluate_grid`.
+        """
+        for tox in toxes:
+            yield self._evaluate(vths, float(tox))
 
     # Convenience accessors.
     def delay(self, vth: float, tox: float) -> float:
@@ -238,11 +249,33 @@ class DecoderComponent(_ComponentBase):
             gate_enabled=self.gate_enabled,
         )
 
-    def _evaluate(self, vth: float, tox: float) -> ComponentCost:
+    def _grid_columns(
+        self, vths: np.ndarray, toxes: np.ndarray
+    ) -> Iterator[ComponentCost]:
+        # One stack solve spans the whole Vth x Tox grid; each column's
+        # decoder takes its slice instead of solving again.  Leff comes
+        # from the scalar geometry each column's decoder would use, so
+        # the slices equal per-column solves bit for bit.
+        factors = None
+        if self.stack_enabled:
+            leffs = np.array(
+                [self.rule.geometry(float(tox)).leff for tox in toxes]
+            )
+            factors = two_stack_factor(
+                self.technology, vths[:, None], toxes[None, :], leffs[None, :]
+            )
+        for j, tox in enumerate(toxes):
+            yield self._evaluate(
+                vths, float(tox), None if factors is None else factors[:, j]
+            )
+
+    def _evaluate(
+        self, vth: float, tox: float, stack_factor: float = None
+    ) -> ComponentCost:
         organization = self.organization
         tech = self.technology
         decoder = self._decoder_at(vth, tox)
-        cost = decoder.evaluate(vth, tox)
+        cost = decoder.evaluate(vth, tox, stack_factor=stack_factor)
         leakage = cost.leakage_current * tech.vdd * organization.n_decoders
         energy = cost.dynamic_energy * organization.active_subarrays
         count = cost.transistor_count * organization.n_decoders

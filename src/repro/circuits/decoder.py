@@ -31,6 +31,7 @@ from repro.technology.bptm import Technology
 from repro.technology.scaling import ToxScalingRule
 from repro.devices.mosfet import Mosfet, Polarity
 from repro.devices import delay as _delay
+from repro.devices import stack as _stack
 from repro.circuits.logical_effort import ELMORE_LN2, optimal_buffer_chain
 from repro.circuits.wires import Wire
 
@@ -142,13 +143,19 @@ class RowDecoder:
         )
         return nmos, pmos
 
-    def _nand_leakage(self, fan_in: int, vth: float, tox: float) -> float:
-        """Standby leakage (A) of one idle NAND gate (stack suppressed)."""
+    def _nand_leakage(
+        self, fan_in: int, vth: float, tox: float, stack_factor: float
+    ) -> float:
+        """Standby leakage (A) of one idle NAND gate (stack suppressed).
+
+        ``stack_factor`` is the 2-stack factor at (vth, tox), or None with
+        the stack effect off.
+        """
         tech = self.technology
         nmos, pmos = self._nand(fan_in, vth, tox)
-        sub = nmos.off_subthreshold(
-            tech, stack_depth=max(fan_in, 1), stack_enabled=self.stack_enabled
-        )
+        sub = nmos.off_subthreshold(tech)
+        if stack_factor is not None:
+            sub = sub * _stack.deeper_stack_factor(stack_factor, max(fan_in, 1))
         # PMOS devices in parallel: with inputs idle-high the PMOS bank is
         # OFF; count them individually (no stack help in parallel).
         sub_p = fan_in * pmos.off_subthreshold(tech)
@@ -167,12 +174,25 @@ class RowDecoder:
 
     # -- evaluation ----------------------------------------------------------
 
-    def evaluate(self, vth: float, tox: float) -> DecoderCost:
-        """Return delay / leakage / energy of the decoder at (vth, tox)."""
+    def evaluate(
+        self, vth: float, tox: float, stack_factor: float = None
+    ) -> DecoderCost:
+        """Return delay / leakage / energy of the decoder at (vth, tox).
+
+        Every NAND gate shares one 2-stack factor
+        (:func:`repro.devices.stack.two_stack_factor`).  A caller that has
+        already solved it at these knobs, such as the component grid,
+        passes it as ``stack_factor``; otherwise it is solved here once.
+        It is ignored when the stack effect is off.
+        """
         tech = self.technology
         geometry = self.rule.geometry(tox)
         groups = self.groups
         n_groups = len(groups)
+        if not self.stack_enabled:
+            stack_factor = None
+        elif stack_factor is None:
+            stack_factor = _stack.two_stack_factor(tech, vth, tox, geometry.leff)
 
         # ---- delay: predecode NAND -> row NAND -> word-line driver chain.
         delay = 0.0
@@ -235,8 +255,12 @@ class RowDecoder:
         # ---- leakage: predecode banks + every row NAND + every driver chain.
         leakage = 0.0
         for group in groups:
-            leakage += (2 ** group) * self._nand_leakage(group, vth, tox)
-        leakage += self.n_rows * self._nand_leakage(n_groups, vth, tox)
+            leakage += (2 ** group) * self._nand_leakage(
+                group, vth, tox, stack_factor
+            )
+        leakage += self.n_rows * self._nand_leakage(
+            n_groups, vth, tox, stack_factor
+        )
         leakage += self.n_rows * (
             chain.subthreshold_leakage + chain.gate_leakage
         )

@@ -19,7 +19,6 @@ from repro.technology.bptm import Technology
 from repro.devices import subthreshold as _sub
 from repro.devices import gate_leakage as _gate
 from repro.devices import delay as _delay
-from repro.devices import stack as _stack
 
 
 class Polarity(str, enum.Enum):
@@ -92,17 +91,14 @@ class Mosfet:
     # -- leakage --------------------------------------------------------
 
     def off_subthreshold(
-        self,
-        technology: Technology,
-        vds: float = None,
-        stack_depth: int = 1,
-        stack_enabled: bool = True,
+        self, technology: Technology, vds: float = None
     ) -> float:
         """Return standby subthreshold current (A) when this device is OFF.
 
-        ``stack_depth`` > 1 applies the series-stack suppression factor.
+        A single device: series stacks scale this by
+        :mod:`repro.devices.stack`'s factor (see the row decoder).
         """
-        current = _sub.subthreshold_current(
+        return _sub.subthreshold_current(
             technology,
             width=self.width,
             leff=self.leff,
@@ -112,16 +108,6 @@ class Mosfet:
             vds=technology.vdd if vds is None else vds,
             p_type=self.is_pmos,
         )
-        if stack_depth > 1:
-            current *= _stack.stack_leakage_factor(
-                technology,
-                vth=self.vth,
-                tox=self.tox,
-                leff=self.leff,
-                stack_depth=stack_depth,
-                enabled=stack_enabled,
-            )
-        return current
 
     def gate_leakage(
         self, technology: Technology, conducting: bool, gate_enabled: bool = True
@@ -147,8 +133,6 @@ class Mosfet:
         technology: Technology,
         conducting: bool,
         vds: float = None,
-        stack_depth: int = 1,
-        stack_enabled: bool = True,
         gate_enabled: bool = True,
     ) -> float:
         """Return total standby leakage (A): subthreshold (if OFF) + gate.
@@ -160,13 +144,7 @@ class Mosfet:
         gate = self.gate_leakage(technology, conducting, gate_enabled=gate_enabled)
         if conducting:
             return gate
-        sub = self.off_subthreshold(
-            technology,
-            vds=vds,
-            stack_depth=stack_depth,
-            stack_enabled=stack_enabled,
-        )
-        return sub + gate
+        return self.off_subthreshold(technology, vds=vds) + gate
 
     # -- drive / capacitance ---------------------------------------------
 

@@ -88,12 +88,13 @@ def solve_intermediate_node(
     The node settles where the current sourced by the top device equals the
     current sunk by the bottom one.  The answer is a few tens of mV.
 
-    ``vth`` and ``tox`` may be numpy arrays; the bisection then runs on
-    every lane simultaneously, freezing each lane at the iteration where
-    the scalar algorithm would have returned, so the vectorized answer is
-    lane-for-lane identical to the scalar one.
+    ``vth``, ``tox`` and ``leff`` may be numpy arrays; they broadcast and
+    the bisection then runs on every lane simultaneously, freezing each
+    lane at the iteration where the scalar algorithm would have returned,
+    so the vectorized answer is lane-for-lane identical to the scalar one.
     """
-    if not isinstance(vth, np.ndarray) and not isinstance(tox, np.ndarray):
+    knobs = (vth, tox, leff)
+    if not any(isinstance(knob, np.ndarray) for knob in knobs):
         lo, hi = 0.0, technology.vdd / 2.0
         for _ in range(max_iterations):
             mid = 0.5 * (lo + hi)
@@ -107,9 +108,8 @@ def solve_intermediate_node(
                 hi = mid
         return 0.5 * (lo + hi)
 
-    vth_b, tox_b = np.broadcast_arrays(
-        np.atleast_1d(np.asarray(vth, dtype=float)),
-        np.atleast_1d(np.asarray(tox, dtype=float)),
+    vth_b, tox_b, leff_b = np.broadcast_arrays(
+        *(np.atleast_1d(np.asarray(knob, dtype=float)) for knob in knobs)
     )
     shape = vth_b.shape
     lo = np.zeros(shape)
@@ -118,7 +118,7 @@ def solve_intermediate_node(
     done = np.zeros(shape, dtype=bool)
     for _ in range(max_iterations):
         mid = 0.5 * (lo + hi)
-        i_top, i_bottom = _stack2_current(technology, vth_b, tox_b, leff, mid)
+        i_top, i_bottom = _stack2_current(technology, vth_b, tox_b, leff_b, mid)
         converged = np.abs(i_top - i_bottom) <= tolerance * np.maximum(
             np.maximum(i_top, i_bottom), 1e-30
         )
@@ -133,7 +133,52 @@ def solve_intermediate_node(
         lo = np.where(~done & charges_up, mid, lo)
         hi = np.where(~done & ~charges_up, mid, hi)
     result = np.where(done, result, 0.5 * (lo + hi))
-    return result.reshape(np.broadcast_shapes(np.shape(vth), np.shape(tox)))
+    return result.reshape(
+        np.broadcast_shapes(*(np.shape(knob) for knob in knobs))
+    )
+
+
+def two_stack_factor(
+    technology: Technology,
+    vth: float,
+    tox: float,
+    leff: float,
+) -> float:
+    """Return the leakage multiplier of a 2-high OFF stack vs a single device.
+
+    This is the one place the intermediate node is solved.  The factor
+    does not depend on how deep the stack is (:func:`deeper_stack_factor`
+    scales it), so a circuit with NAND gates of several fan-ins solves it
+    once per (Vth, Tox, Leff) point and shares it.  ``vth``, ``tox`` and
+    ``leff`` may be numpy arrays; they broadcast, so a whole design grid
+    is one vectorized solve.
+    """
+    single = subthreshold_current(
+        technology, width=1.0, leff=leff, vth=vth, tox=tox, vgs=0.0,
+        vds=technology.vdd,
+    )
+    vx = solve_intermediate_node(technology, vth, tox, leff)
+    i_top, _ = _stack2_current(technology, vth, tox, leff, vx)
+    return i_top / single
+
+
+def deeper_stack_factor(factor2: float, stack_depth: int) -> float:
+    """Return a ``stack_depth``-high stack's factor from the 2-stack one.
+
+    Depth 1 is no stack (1.0) and depth 2 is ``factor2`` itself.  Depths
+    beyond 2 apply the 2-stack solution with diminishing returns: the
+    third device contributes far less than the second, because the
+    dominant drop happens at the first intermediate node, so each extra
+    series device halves the leakage (empirically ~2x per device past
+    the second).
+    """
+    if stack_depth < 1:
+        raise DeviceModelError(f"stack_depth must be >= 1, got {stack_depth}")
+    if stack_depth == 1:
+        return 1.0
+    if stack_depth == 2:
+        return factor2
+    return factor2 * 0.5 ** (stack_depth - 2)
 
 
 def stack_leakage_factor(
@@ -155,27 +200,12 @@ def stack_leakage_factor(
         benches can quantify how much decoder leakage the stack effect
         hides.
 
-    Notes
-    -----
-    Depths beyond 2 are approximated by applying the 2-stack solution
-    once per extra device with diminishing returns (the third device
-    contributes far less than the second — the dominant drop happens at
-    the first intermediate node).
+    This is :func:`two_stack_factor` scaled by :func:`deeper_stack_factor`.
     """
     if stack_depth < 1:
         raise DeviceModelError(f"stack_depth must be >= 1, got {stack_depth}")
     if not enabled or stack_depth == 1:
         return 1.0
-    single = subthreshold_current(
-        technology, width=1.0, leff=leff, vth=vth, tox=tox, vgs=0.0,
-        vds=technology.vdd,
+    return deeper_stack_factor(
+        two_stack_factor(technology, vth, tox, leff), stack_depth
     )
-    vx = solve_intermediate_node(technology, vth, tox, leff)
-    i_top, _ = _stack2_current(technology, vth, tox, leff, vx)
-    factor2 = i_top / single
-    if stack_depth == 2:
-        return factor2
-    # Each additional series device multiplies the suppression by a
-    # diminishing amount (empirically ~2x per device past the second).
-    extra = 0.5 ** (stack_depth - 2)
-    return factor2 * extra

@@ -65,15 +65,13 @@ def pareto_indices(costs: np.ndarray) -> np.ndarray:
         # Vectorised pairwise dominance: dominated[i] iff some j has
         # costs[j] <= costs[i] everywhere and < somewhere.  The strict
         # part needs no second comparison: any(a < b) == not all(b <= a),
-        # i.e. the transpose of the <= matrix.
+        # i.e. the transpose of the <= matrix.  Rows <= each other both
+        # ways are equal; exact duplicates collapse to the first
+        # occurrence, so row i also goes when an earlier row equals it.
         less_equal = (costs[:, None, :] <= costs[None, :, :]).all(axis=2)
-        dominates = less_equal & ~less_equal.T  # [j, i]
-        keep = np.flatnonzero(~dominates.any(axis=0))
-        if len(keep) > 1:
-            # Collapse exact duplicates to the first occurrence.
-            _, first = np.unique(costs[keep], axis=0, return_index=True)
-            keep = keep[np.sort(first)]
-        return keep
+        beaten = less_equal & ~less_equal.T  # [j, i]: j dominates i
+        beaten |= np.triu(less_equal & less_equal.T, k=1)  # j < i, equal
+        return np.flatnonzero(~beaten.any(axis=0))
     # Large high-dimensional inputs: sort-based scan.  After a stable
     # lexsort (first column primary) every dominator or duplicate of a row
     # sorts before it, so each row needs checking only against the rows

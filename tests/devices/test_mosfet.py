@@ -70,18 +70,6 @@ class TestLeakage:
     def test_off_subthreshold_positive(self, technology):
         assert make_nmos(technology).off_subthreshold(technology) > 0
 
-    def test_stack_reduces_off_current(self, technology):
-        device = make_nmos(technology)
-        single = device.off_subthreshold(technology, stack_depth=1)
-        stacked = device.off_subthreshold(technology, stack_depth=2)
-        assert stacked < 0.3 * single
-
-    def test_stack_disable_flag(self, technology):
-        device = make_nmos(technology)
-        assert device.off_subthreshold(
-            technology, stack_depth=2, stack_enabled=False
-        ) == pytest.approx(device.off_subthreshold(technology))
-
     def test_gate_leak_ablation_flag(self, technology):
         device = make_nmos(technology)
         assert device.gate_leakage(

@@ -1,12 +1,15 @@
 """Series-stack leakage suppression."""
 
+import numpy as np
 import pytest
 
 from repro import units
 from repro.errors import DeviceModelError
 from repro.devices.stack import (
+    deeper_stack_factor,
     solve_intermediate_node,
     stack_leakage_factor,
+    two_stack_factor,
 )
 
 
@@ -27,6 +30,51 @@ class TestIntermediateNode:
             technology, 0.3, technology.tox_ref, technology.leff, vx
         )
         assert i_top == pytest.approx(i_bottom, rel=1e-3)
+
+
+class TestBroadcast:
+    def test_grid_solve_equals_scalar_solves_bit_for_bit(self, technology):
+        # (vth, tox, leff) on three broadcast axes.
+        vth = np.linspace(0.15, 0.5, 6)[:, None, None]
+        tox = units.angstrom(np.array([10.0, 12.0, 14.0, 17.0]))[None, :, None]
+        leff = technology.leff * np.array([0.8, 1.0, 1.3])[None, None, :]
+        grid = solve_intermediate_node(technology, vth, tox, leff)
+        assert grid.shape == (6, 4, 3)
+        for (i, j, k), vx in np.ndenumerate(grid):
+            assert vx == solve_intermediate_node(
+                technology,
+                float(vth[i, 0, 0]),
+                float(tox[0, j, 0]),
+                float(leff[0, 0, k]),
+            )
+
+    def test_array_leff_with_scalar_knobs(self, technology):
+        leffs = technology.leff * np.array([0.9, 1.0, 1.2])
+        vx = solve_intermediate_node(
+            technology, 0.3, technology.tox_ref, leffs
+        )
+        assert vx.shape == (3,)
+        for lane, leff in enumerate(leffs):
+            assert vx[lane] == solve_intermediate_node(
+                technology, 0.3, technology.tox_ref, float(leff)
+            )
+        factors = two_stack_factor(technology, 0.3, technology.tox_ref, leffs)
+        assert factors.shape == (3,)
+
+    def test_grid_factor_equals_per_column_factors(self, technology):
+        """One grid-wide factor is what the decoder's Tox columns used to
+        solve one at a time (a Vth vector at scalar Tox and Leff)."""
+        vths = np.linspace(0.15, 0.5, 6)
+        toxes = units.angstrom(np.array([10.0, 12.0, 14.0, 17.0]))
+        leffs = technology.leff * np.array([0.8, 1.0, 1.1, 1.3])
+        grid = two_stack_factor(
+            technology, vths[:, None], toxes[None, :], leffs[None, :]
+        )
+        for j in range(toxes.size):
+            column = two_stack_factor(
+                technology, vths, float(toxes[j]), float(leffs[j])
+            )
+            assert np.array_equal(grid[:, j], column)
 
 
 class TestFactor:
@@ -65,6 +113,17 @@ class TestFactor:
         with pytest.raises(DeviceModelError):
             stack_leakage_factor(
                 technology, 0.3, technology.tox_ref, technology.leff, 0
+            )
+        with pytest.raises(DeviceModelError):
+            deeper_stack_factor(0.1, 0)
+
+    def test_depth_rule_scales_the_two_stack_factor(self, technology):
+        factor2 = two_stack_factor(
+            technology, 0.3, technology.tox_ref, technology.leff
+        )
+        for depth in (1, 2, 3, 4):
+            assert deeper_stack_factor(factor2, depth) == stack_leakage_factor(
+                technology, 0.3, technology.tox_ref, technology.leff, depth
             )
 
     def test_factor_independent_of_width_by_construction(self, technology):

@@ -148,6 +148,67 @@ class Test2dAgainstGenericPairwise:
         assert np.array_equal(pareto_indices(costs), pareto_indices_2d(costs))
 
 
+def _unique_collapse_reference(costs):
+    """The pairwise branch as it was before duplicates were collapsed
+    with the dominance matrix: dominance first, then ``np.unique`` over
+    the survivors keeping each row's first occurrence."""
+    less_equal = (costs[:, None, :] <= costs[None, :, :]).all(axis=2)
+    dominates = less_equal & ~less_equal.T
+    keep = np.flatnonzero(~dominates.any(axis=0))
+    if len(keep) > 1:
+        _, first = np.unique(costs[keep], axis=0, return_index=True)
+        keep = keep[np.sort(first)]
+    return keep
+
+
+def _rows_with_repeats(values, width):
+    """Cost matrices of ``width`` columns with ties and repeated rows."""
+    row = st.tuples(*([values] * width))
+    return st.lists(row, min_size=1, max_size=50).flatmap(
+        lambda rows: st.lists(
+            st.sampled_from(rows), min_size=0, max_size=20
+        ).flatmap(lambda repeats: st.permutations(rows + repeats))
+    )
+
+
+class TestPairwiseDuplicateCollapse:
+    """The pairwise (d > 2, small n) branch keeps exactly what the
+    ``np.unique`` collapse kept, index for index."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(min_value=3, max_value=5).flatmap(
+            lambda width: _rows_with_repeats(
+                st.integers(min_value=0, max_value=4), width
+            )
+        )
+    )
+    def test_matches_unique_collapse_with_heavy_ties(self, rows):
+        costs = np.array(rows, dtype=float)
+        assert np.array_equal(
+            pareto_indices(costs), _unique_collapse_reference(costs)
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        _rows_with_repeats(
+            st.floats(min_value=-1e3, max_value=1e3, allow_nan=False), 3
+        )
+    )
+    def test_matches_unique_collapse_on_floats(self, rows):
+        costs = np.array(rows, dtype=float)
+        assert np.array_equal(
+            pareto_indices(costs), _unique_collapse_reference(costs)
+        )
+
+    def test_first_occurrence_survives(self):
+        costs = np.array(
+            [[2, 2, 2], [1, 3, 1], [2, 2, 2], [1, 3, 1], [3, 3, 3]],
+            dtype=float,
+        )
+        assert list(pareto_indices(costs)) == [0, 1]
+
+
 class TestLargeHighDimScan:
     def test_large_input_matches_pairwise_semantics(self):
         # Push past the pairwise-path threshold to exercise the sort-based

@@ -306,6 +306,9 @@ class TestCrashResume:
             stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT,
             text=True,
+            # Its own process group, so a kill -9 takes the daemon's job
+            # pool down with it instead of orphaning the pool workers.
+            start_new_session=True,
         )
         deadline = time.time() + 60
         while not port_file.exists():
@@ -314,10 +317,16 @@ class TestCrashResume:
                     f"daemon exited early:\n{process.stdout.read()}"
                 )
             if time.time() > deadline:
-                process.kill()
+                self._kill(process)
                 pytest.fail("daemon never wrote its port file")
             time.sleep(0.05)
         return process, int(port_file.read_text().strip())
+
+    @staticmethod
+    def _kill(process):
+        """kill -9 the daemon and every process it started."""
+        os.killpg(process.pid, signal.SIGKILL)
+        process.wait(timeout=10)
 
     def test_kill_dash_nine_then_resume_bit_identical(self, tmp_path):
         cache_dir = tmp_path / "cache"
@@ -341,8 +350,7 @@ class TestCrashResume:
                         break
             assert observed_done >= 2, "campaign made no visible progress"
         finally:
-            process.send_signal(signal.SIGKILL)
-            process.wait(timeout=10)
+            self._kill(process)
 
         # Phase 2: restart on the same cache dir and resubmit.
         process, port = self._spawn(tmp_path, cache_dir)
@@ -360,8 +368,7 @@ class TestCrashResume:
                                                    timeout=180)
                 assert resumed["status"] == "done"
         finally:
-            process.send_signal(signal.SIGKILL)
-            process.wait(timeout=10)
+            self._kill(process)
 
         # Phase 3: an uninterrupted run on a fresh cache dir must agree
         # bit for bit.
@@ -371,8 +378,7 @@ class TestCrashResume:
                 clean = client.run_campaign(self.SPEC, timeout=180)
                 assert clean["status"] == "done"
         finally:
-            process.send_signal(signal.SIGKILL)
-            process.wait(timeout=10)
+            self._kill(process)
 
         assert json.dumps(resumed["results"], sort_keys=True) == \
             json.dumps(clean["results"], sort_keys=True)

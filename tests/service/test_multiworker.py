@@ -83,6 +83,9 @@ def deployment(tmp_path_factory):
         ],
         env=_child_env(cache_dir),
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+        # Its own process group: the job-pool children of the workers
+        # the tests kill -9 outlive them, and teardown reaps the group.
+        start_new_session=True,
     )
     try:
         deadline = time.monotonic() + 60.0
@@ -112,6 +115,10 @@ def deployment(tmp_path_factory):
             except subprocess.TimeoutExpired:
                 process.kill()
                 process.wait(timeout=30)
+        try:
+            os.killpg(process.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
 
 
 def _client(port: int) -> ServiceClient:
