@@ -22,7 +22,7 @@ explicitly; nothing in this package holds hidden global state.
 from repro.devices.mosfet import Mosfet, Polarity
 from repro.devices.subthreshold import subthreshold_current
 from repro.devices.gate_leakage import gate_current_density, gate_tunnel_current
-from repro.devices.stack import stack_leakage_factor
+from repro.devices.stack import deeper_stack_factor, two_stack_factor
 from repro.devices.delay import (
     on_current,
     effective_resistance,
@@ -36,7 +36,8 @@ __all__ = [
     "subthreshold_current",
     "gate_current_density",
     "gate_tunnel_current",
-    "stack_leakage_factor",
+    "two_stack_factor",
+    "deeper_stack_factor",
     "on_current",
     "effective_resistance",
     "gate_capacitance",

@@ -180,32 +180,3 @@ def deeper_stack_factor(factor2: float, stack_depth: int) -> float:
         return factor2
     return factor2 * 0.5 ** (stack_depth - 2)
 
-
-def stack_leakage_factor(
-    technology: Technology,
-    vth: float,
-    tox: float,
-    leff: float,
-    stack_depth: int = 2,
-    enabled: bool = True,
-) -> float:
-    """Return the leakage multiplier of an OFF series stack vs a single device.
-
-    Parameters
-    ----------
-    stack_depth:
-        Number of series OFF transistors (1 returns 1.0).
-    enabled:
-        The ablation switch (DESIGN.md §5): when False, returns 1.0 so
-        benches can quantify how much decoder leakage the stack effect
-        hides.
-
-    This is :func:`two_stack_factor` scaled by :func:`deeper_stack_factor`.
-    """
-    if stack_depth < 1:
-        raise DeviceModelError(f"stack_depth must be >= 1, got {stack_depth}")
-    if not enabled or stack_depth == 1:
-        return 1.0
-    return deeper_stack_factor(
-        two_stack_factor(technology, vth, tox, leff), stack_depth
-    )

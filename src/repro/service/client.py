@@ -1,10 +1,11 @@
 """Minimal stdlib client for the repro service daemon.
 
-Used by ``tools/loadgen.py``, the benchmark suite, and the tests; also a
-reasonable starting point for notebook use.  One :class:`ServiceClient`
-holds one keep-alive HTTP connection, so it is cheap to issue many
-requests from the same thread; it is NOT thread-safe — give each load
-generator thread its own client.
+Used by ``tools/service_smoke.py``, ``tools/campaign.py``, the serve
+workload of ``perfbench/`` and the tests; also a reasonable starting
+point for notebook use.  One :class:`ServiceClient` holds one
+keep-alive HTTP connection, so it is cheap to issue many requests from
+the same thread; it is NOT thread-safe — give each load generator
+thread its own client.
 
 Multi-worker deployments need two extra behaviours, both handled here:
 

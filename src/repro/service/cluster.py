@@ -11,14 +11,14 @@ to.  A single-process daemon publishes itself at scrape time and
 answers as a cluster of one.
 
 Records from *recently* dead workers are kept (their counters still
-happened — loadgen computes deltas over the merged view across a run,
-and a worker crash mid-run must not make traffic vanish) but carry an
-``alive: false`` flag so operators can tell a drained worker from a
-live one.  A dead record older than :data:`STALE_RECORD_SECONDS` is
-expired from the board view: without the cutoff, cache directories
-shared across many deployments would accumulate one record per past
-worker id and the merged totals would double-count every previous
-instance forever.
+happened — a client computing deltas over the merged view across a run,
+as the service smoke does, must not see traffic vanish when a worker
+crashes mid-run) but carry an ``alive: false`` flag so operators can
+tell a drained worker from a live one.  A dead record older than
+:data:`STALE_RECORD_SECONDS` is expired from the board view: without
+the cutoff, cache directories shared across many deployments would
+accumulate one record per past worker id and the merged totals would
+double-count every previous instance forever.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ from repro.procutil import owner_alive, proc_start_ticks
 _PREFIX = "worker-metrics:"
 
 #: How long a dead worker's record stays in the board view.  Long
-#: enough for any realistic bench/loadgen run to keep its deltas exact
-#: across a mid-run crash; short enough that stale deployments age out.
+#: enough for any realistic load run to keep its deltas exact across a
+#: mid-run crash; short enough that stale deployments age out.
 STALE_RECORD_SECONDS = 900.0
 
 

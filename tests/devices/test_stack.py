@@ -8,7 +8,6 @@ from repro.errors import DeviceModelError
 from repro.devices.stack import (
     deeper_stack_factor,
     solve_intermediate_node,
-    stack_leakage_factor,
     two_stack_factor,
 )
 
@@ -78,59 +77,41 @@ class TestBroadcast:
 
 
 class TestFactor:
-    def test_two_stack_suppresses_order_of_magnitude(self, technology):
-        factor = stack_leakage_factor(
-            technology, 0.3, technology.tox_ref, technology.leff, stack_depth=2
+    @staticmethod
+    def _factor2(technology, vth=0.3):
+        return two_stack_factor(
+            technology, vth, technology.tox_ref, technology.leff
         )
-        assert 0.005 < factor < 0.25
+
+    def test_two_stack_suppresses_order_of_magnitude(self, technology):
+        assert 0.005 < self._factor2(technology) < 0.25
 
     def test_depth_one_is_identity(self, technology):
-        assert stack_leakage_factor(
-            technology, 0.3, technology.tox_ref, technology.leff, stack_depth=1
-        ) == pytest.approx(1.0)
-
-    def test_disabled_is_identity(self, technology):
-        assert stack_leakage_factor(
-            technology,
-            0.3,
-            technology.tox_ref,
-            technology.leff,
-            stack_depth=2,
-            enabled=False,
-        ) == pytest.approx(1.0)
+        assert deeper_stack_factor(self._factor2(technology), 1) == 1.0
 
     def test_deeper_stacks_leak_less(self, technology):
+        factor2 = self._factor2(technology)
         factors = [
-            stack_leakage_factor(
-                technology, 0.3, technology.tox_ref, technology.leff, depth
-            )
-            for depth in (1, 2, 3, 4)
+            deeper_stack_factor(factor2, depth) for depth in (1, 2, 3, 4)
         ]
         assert factors == sorted(factors, reverse=True)
         assert all(f > 0 for f in factors)
 
-    def test_rejects_zero_depth(self, technology):
-        with pytest.raises(DeviceModelError):
-            stack_leakage_factor(
-                technology, 0.3, technology.tox_ref, technology.leff, 0
-            )
-        with pytest.raises(DeviceModelError):
-            deeper_stack_factor(0.1, 0)
+    def test_rejects_zero_depth(self):
+        for depth in (0, -1):
+            with pytest.raises(DeviceModelError):
+                deeper_stack_factor(0.1, depth)
 
     def test_depth_rule_scales_the_two_stack_factor(self, technology):
-        factor2 = two_stack_factor(
-            technology, 0.3, technology.tox_ref, technology.leff
-        )
-        for depth in (1, 2, 3, 4):
-            assert deeper_stack_factor(factor2, depth) == stack_leakage_factor(
-                technology, 0.3, technology.tox_ref, technology.leff, depth
+        factor2 = self._factor2(technology)
+        assert deeper_stack_factor(factor2, 2) == factor2
+        for depth in (3, 4):
+            assert deeper_stack_factor(factor2, depth) == (
+                factor2 * 0.5 ** (depth - 2)
             )
 
     def test_factor_independent_of_width_by_construction(self, technology):
         """Both stacked devices share the width, so the factor is a pure
         ratio; evaluate at two Vth values to confirm it stays in range."""
         for vth in (0.2, 0.5):
-            factor = stack_leakage_factor(
-                technology, vth, technology.tox_ref, technology.leff, 2
-            )
-            assert 0.001 < factor < 0.5
+            assert 0.001 < self._factor2(technology, vth) < 0.5

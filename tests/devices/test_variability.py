@@ -63,6 +63,14 @@ class TestMultiplier:
         """A 45 mV-sigma population leaks ~1.5-3x the nominal cell."""
         multiplier = leakage_variability_multiplier(technology, 0.045)
         assert 1.2 < multiplier < 4.0
+        # The 65 nm SRAM access device (1.3x minimum width) population
+        # leaks tens of percent more than its nominal cell.
+        access_sigma = vth_sigma(
+            technology, 1.3 * technology.wmin, technology.lgate_drawn
+        )
+        assert 1.1 < leakage_variability_multiplier(
+            technology, access_sigma
+        ) < 5.0
 
     def test_rejects_negative_sigma(self, technology):
         with pytest.raises(DeviceModelError):

@@ -6,8 +6,16 @@ else in the harness suite stays sub-second.
 
 import pytest
 
+from repro.archsim.missmodel import calibrated_miss_model
+from repro.cache.cache_model import CacheModel
+from repro.cache.config import l1_config, l2_config
+from repro.energy.dynamic import MainMemoryModel
 from repro.experiments.figure2 import fast_space, run_figure2
-from repro.optimize.tuple_problem import FIGURE2_BUDGETS
+from repro.optimize.tuple_problem import (
+    FIGURE2_BUDGETS,
+    TupleBudget,
+    solve_tuple_problem,
+)
 
 
 @pytest.fixture(scope="module")
@@ -39,3 +47,35 @@ class TestE6Figure2:
 
     def test_fast_space_is_small(self):
         assert fast_space().n_points <= 15
+
+
+class TestMemoryLatencySensitivity:
+    """Figure 2's headline orderings are not artefacts of the 20 ns main
+    memory: they hold at 10, 20 and 40 ns."""
+
+    @pytest.mark.parametrize("latency_ns", [10.0, 20.0, 40.0])
+    def test_orderings_hold(self, latency_ns):
+        budgets = (
+            TupleBudget(2, 2),
+            TupleBudget(2, 3),
+            TupleBudget(2, 1),
+            TupleBudget(1, 2),
+        )
+        curves = solve_tuple_problem(
+            CacheModel(l1_config(16)),
+            CacheModel(l2_config(1024)),
+            calibrated_miss_model("spec2000"),
+            budgets=budgets,
+            space=fast_space(),
+            memory=MainMemoryModel(latency=latency_ns * 1e-9),
+        )
+        relaxed = max(curve.amats[-1] for curve in curves.values())
+        energy = {
+            budget: curve.energy_at(relaxed)
+            for budget, curve in curves.items()
+        }
+        # Dual Tox + dual Vth stays within 5 % of 2 Tox + 3 Vth.
+        gap = energy[TupleBudget(2, 2)] / energy[TupleBudget(2, 3)] - 1.0
+        assert gap < 0.05
+        # Vth remains the better second knob.
+        assert energy[TupleBudget(1, 2)] < energy[TupleBudget(2, 1)]

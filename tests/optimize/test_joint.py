@@ -3,7 +3,7 @@
 import pytest
 
 from repro import units
-from repro.archsim.missmodel import calibrated_miss_model
+from repro.archsim.missmodel import blended_miss_model, calibrated_miss_model
 from repro.errors import OptimizationError
 from repro.optimize.joint import (
     OBJECTIVE_ENERGY,
@@ -117,3 +117,35 @@ class TestConstraints:
                 objective="speed",
                 space=small_space,
             )
+
+
+class TestBlendedWorkloadDefaultGrid:
+    """The Section 5 conclusions emerge from the joint search on the
+    default grid over 4 x 4 capacities — they are not imposed."""
+
+    @pytest.fixture(scope="class")
+    def designs(self):
+        miss_model = blended_miss_model()
+        return {
+            objective: optimize_memory_system(
+                miss_model,
+                amat_budget=units.ps(2800),
+                l1_sizes_kb=(4, 8, 16, 32),
+                l2_sizes_kb=(256, 512, 1024, 2048),
+                objective=objective,
+            )
+            for objective in (OBJECTIVE_LEAKAGE, OBJECTIVE_ENERGY)
+        }
+
+    def test_small_l1_wins(self, designs):
+        assert designs[OBJECTIVE_LEAKAGE].l1_size_kb <= 8
+
+    def test_arrays_conservative_in_both_caches(self, designs):
+        design = designs[OBJECTIVE_LEAKAGE]
+        for assignment in (design.l1_assignment, design.l2_assignment):
+            assert assignment.array.vth >= assignment["decoder"].vth
+
+    def test_energy_objective_never_loses_on_energy(self, designs):
+        assert designs[OBJECTIVE_ENERGY].total_energy <= (
+            designs[OBJECTIVE_LEAKAGE].total_energy * (1 + 1e-9)
+        )

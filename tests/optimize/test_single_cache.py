@@ -95,21 +95,22 @@ class TestExactness:
 
     def test_scheme1_matches_brute_force(self, tiny_cache, tiny_space, tables):
         """Pareto pruning must not change the optimum."""
-        constraint = units.ps(1600)
-        result = minimize_leakage(
-            tiny_cache, Scheme.PER_COMPONENT, constraint, tables=tables
-        )
-        points = tiny_space.point_list()
-        best = None
-        for combo in itertools.product(points, repeat=4):
-            assignment = Assignment.from_mapping(
-                dict(zip(COMPONENT_NAMES, combo))
+        evaluations = [
+            tiny_cache.evaluate(
+                Assignment.from_mapping(dict(zip(COMPONENT_NAMES, combo)))
             )
-            evaluation = tiny_cache.evaluate(assignment)
-            if evaluation.access_time <= constraint:
-                if best is None or evaluation.leakage_power < best:
-                    best = evaluation.leakage_power
-        assert result.leakage_power == pytest.approx(best)
+            for combo in itertools.product(tiny_space.point_list(), repeat=4)
+        ]
+        for constraint in (units.ps(1500), units.ps(1600)):
+            result = minimize_leakage(
+                tiny_cache, Scheme.PER_COMPONENT, constraint, tables=tables
+            )
+            best = min(
+                evaluation.leakage_power
+                for evaluation in evaluations
+                if evaluation.access_time <= constraint
+            )
+            assert result.leakage_power == pytest.approx(best)
 
 
 class TestPaperFindings:

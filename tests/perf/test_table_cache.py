@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cache.cache_model import CacheModel
-from repro.cache.config import CacheConfig
+from repro.cache.config import CacheConfig, l1_config
 from repro.optimize.single_cache import component_tables
 from repro.perf import cache_info, clear_cache
 from repro.perf.table_cache import (
@@ -12,6 +12,7 @@ from repro.perf.table_cache import (
     fingerprint_model,
     fingerprint_space,
 )
+from repro.technology.nodes import NODES, SCALING_STYLES, node_technology
 
 
 @pytest.fixture(autouse=True)
@@ -77,6 +78,36 @@ class TestStructuralSharing:
         assert not np.array_equal(
             tables["array"].leakages, tables_no_gate["array"].leakages
         )
+
+    def test_one_entry_per_distinct_node_member(self, tiny_space):
+        """Every (node, style) member of the node family gets its own
+        entry — never fewer, which would mean two nodes collided on one
+        key — and repeat passes are pure hits.  One shared space makes
+        the technology alone keep the keys apart."""
+        technologies = [
+            node_technology(node, style)
+            for style in SCALING_STYLES
+            for node in NODES
+        ]
+        # The 65 nm anchor is one shared Technology across both styles.
+        distinct = list({id(t): t for t in technologies}.values())
+        assert len(distinct) == len(technologies) - 1
+
+        def one_pass():
+            for technology in technologies:
+                component_tables(
+                    CacheModel(l1_config(16), technology=technology),
+                    tiny_space,
+                )
+
+        one_pass()
+        assert cache_info().misses == len(distinct)
+        for _ in range(2):
+            before = cache_info()
+            one_pass()
+            after = cache_info()
+            assert after.misses == before.misses
+            assert after.hits == before.hits + len(technologies)
 
 
 class TestObservability:

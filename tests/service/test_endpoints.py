@@ -92,8 +92,8 @@ def test_identical_sweep_is_served_from_the_response_cache(client):
     )
     assert second == first
     assert hits_after == hits_before + 1
-    # The cached serve still counts as a request (loadgen's throughput
-    # accounting reads these deltas).
+    # The cached serve still counts as a request (throughput accounting
+    # over /metrics deltas reads this counter).
     assert client.metrics()["counters"]["requests.sweep"] >= 2
 
 

@@ -5,6 +5,8 @@ import pytest
 from repro import units
 from repro.cache.assignment import Assignment, knobs
 from repro.errors import ConfigurationError
+from repro.optimize.schemes import Scheme
+from repro.optimize.single_cache import minimize_leakage
 from repro.techniques import (
     DrowsyCache,
     GatedVddCache,
@@ -170,3 +172,17 @@ class TestCrossTechniqueOrdering:
         assert not results["gated-vdd"].retains_state
         assert results["drowsy"].retains_state
         assert results["reverse-body-bias"].retains_state
+
+
+class TestKnobAssignmentAlone:
+    def test_scheme2_optimum_halves_mid_grid_leakage(
+        self, l1_16k, baseline
+    ):
+        """E10: with no runtime mechanism at all, the Section 4 Scheme II
+        optimum leaks under half of the mid-grid design the techniques
+        above start from."""
+        optimised = minimize_leakage(
+            l1_16k, Scheme.CELL_VS_PERIPHERY, units.ps(1300)
+        ).assignment
+        result = NoTechnique().evaluate(l1_16k, optimised)
+        assert result.leakage_power < 0.5 * baseline.leakage_power

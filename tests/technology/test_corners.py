@@ -2,13 +2,21 @@
 
 import pytest
 
+from repro import units
+from repro.cache.assignment import Assignment, knobs
+from repro.cache.cache_model import CacheModel
+from repro.cache.config import CacheConfig
 from repro.errors import TechnologyError
+from repro.optimize.schemes import Scheme
+from repro.optimize.single_cache import minimize_leakage
+from repro.technology.bptm import bptm65
 from repro.technology.corners import (
     STANDARD_CORNERS,
     Corner,
     CornerName,
     apply_corner,
 )
+from repro.technology.scaling import ToxScalingRule
 
 
 class TestCornerValidation:
@@ -81,3 +89,68 @@ class TestApplyCorner:
             hot, vth=0.3, tox=hot.tox_ref, leff=hot.leff
         )
         assert hot_ioff > 3 * typical_ioff
+
+
+class TestE11CornerRobustness:
+    """E11: the Section 4 Scheme II optimum of the 16 KB cache
+    re-evaluated at every standard corner."""
+
+    @pytest.fixture(scope="class")
+    def config(self):
+        return CacheConfig(
+            size_bytes=16 * 1024, block_bytes=32, associativity=2, name="L1"
+        )
+
+    @staticmethod
+    def _at_corner(base, corner_name):
+        technology = apply_corner(
+            base.technology, STANDARD_CORNERS[corner_name]
+        )
+        return CacheModel(
+            base.config,
+            technology=technology,
+            rule=ToxScalingRule(technology=technology),
+            organization=base.organization,
+        )
+
+    @pytest.fixture(scope="class")
+    def optimum_leakage(self, config):
+        model = CacheModel(config, technology=bptm65())
+        optimum = minimize_leakage(
+            model, Scheme.CELL_VS_PERIPHERY, units.ps(1300)
+        )
+        return {
+            name: self._at_corner(model, name)
+            .evaluate(optimum.assignment)
+            .leakage_power
+            for name in STANDARD_CORNERS
+        }
+
+    def test_fast_hot_blows_the_budget_within_bounds(self, optimum_leakage):
+        # Fast-hot silicon blows the typical budget — but only a few x,
+        # because the optimum is gate-tunnelling floored and tunnelling
+        # is nearly temperature-insensitive.
+        typical = optimum_leakage[CornerName.TYPICAL]
+        assert 1.5 * typical < optimum_leakage[CornerName.FAST_HOT]
+        assert optimum_leakage[CornerName.FAST_HOT] < 20 * typical
+
+    def test_slow_cold_leaks_less(self, optimum_leakage):
+        assert (
+            optimum_leakage[CornerName.SLOW_COLD]
+            < optimum_leakage[CornerName.TYPICAL]
+        )
+
+    def test_subthreshold_dominated_design_is_more_sensitive(
+        self, config, optimum_leakage
+    ):
+        """Total-leakage optimisation buys corner robustness: a low-Vth
+        design blows up more at fast-hot than the optimum does."""
+        low_vth = Assignment.uniform(knobs(0.2, 14))
+        base = CacheModel(config, technology=bptm65())
+        hot = self._at_corner(base, CornerName.FAST_HOT)
+        sub_ratio = hot.leakage_power(low_vth) / base.leakage_power(low_vth)
+        optimum_ratio = (
+            optimum_leakage[CornerName.FAST_HOT]
+            / optimum_leakage[CornerName.TYPICAL]
+        )
+        assert sub_ratio > optimum_ratio

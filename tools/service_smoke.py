@@ -1,6 +1,6 @@
 """End-to-end smoke test of the service daemon — the CI gate.
 
-Default mode spawns the real thing as a subprocess:
+It spawns the real thing as a subprocess:
 
     PYTHONPATH=src python tools/service_smoke.py
 
@@ -34,10 +34,6 @@ the merged ``/metrics?scope=cluster`` view (a single worker's registry
 only sees the slice of traffic the kernel handed it), the cluster view
 must show all N workers alive, and the SIGTERM check covers the
 supervisor's coordinated drain.
-
-``--in-process`` runs the same checks against an in-process server (no
-subprocess, no signals) — this is the variant ``tools/bench.py --smoke``
-embeds.
 """
 
 from __future__ import annotations
@@ -381,31 +377,6 @@ def check_campaigns(client: ServiceClient, cluster: bool = False) -> None:
           f"with {final['engine_passes']} engine passes")
 
 
-def run_in_process() -> int:
-    from repro.service import ServiceConfig, create_server
-
-    # A scratch cache dir keeps the fresh-then-served profile-store
-    # assertions deterministic: the default disk cache would hand the
-    # first assoc calibrate a surface left over from an earlier run.
-    with tempfile.TemporaryDirectory() as scratch:
-        server = create_server(ServiceConfig(
-            port=0, cache_dir=os.path.join(scratch, "cache")
-        ))
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        print(f"service smoke (in-process, port {server.bound_port}):")
-        try:
-            check_service("127.0.0.1", server.bound_port)
-        finally:
-            server.shutdown()
-            summary = server.service.shutdown()
-            server.server_close()
-    print(f"  shutdown: drained={summary['drained']} "
-          f"cancelled={summary['cancelled']}")
-    print("OK")
-    return 0
-
-
 def run_subprocess(timeout: float = 60.0, workers: int = 1) -> int:
     with tempfile.TemporaryDirectory() as scratch:
         port_file = os.path.join(scratch, "port")
@@ -464,20 +435,12 @@ def run_subprocess(timeout: float = 60.0, workers: int = 1) -> int:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--in-process", action="store_true",
-                        help="run against an in-process server (no "
-                             "subprocess, no SIGTERM check)")
     parser.add_argument("--workers", type=int, default=1,
                         help="run the subprocess daemon with this many "
                              "forked workers and assert the contract "
                              "through the cluster metrics view "
-                             "(default 1; incompatible with "
-                             "--in-process)")
+                             "(default 1)")
     arguments = parser.parse_args(argv)
-    if arguments.in_process:
-        if arguments.workers > 1:
-            parser.error("--workers requires the subprocess mode")
-        return run_in_process()
     return run_subprocess(workers=arguments.workers)
 
 
