@@ -3,7 +3,8 @@
 Used in two places: pruning per-component candidate sets before product
 enumeration (a dominated component choice can never appear in an optimal
 assignment, because leakage and delay are both additive), and extracting
-the final (AMAT, energy) trade-off curves of Figure 2.
+the final (AMAT, energy) trade-off curves of Figure 2.  Both kernels are
+exact and sort-based; duplicate rows keep their smallest index.
 """
 
 from __future__ import annotations
@@ -13,6 +14,9 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from repro.errors import OptimizationError
+
+#: Sorted rows decided per step of :func:`pareto_indices`.
+_BLOCK_ROWS = 1024
 
 
 def pareto_indices_2d(costs: np.ndarray) -> np.ndarray:
@@ -28,6 +32,8 @@ def pareto_indices_2d(costs: np.ndarray) -> np.ndarray:
         raise OptimizationError(
             f"pareto_indices_2d needs an (n, 2) matrix, got {costs.shape}"
         )
+    if np.isnan(costs).any():  # NaN is unordered: no front exists
+        raise OptimizationError("costs contain NaN")
     n = costs.shape[0]
     if n == 0:
         return np.empty(0, dtype=int)
@@ -46,50 +52,42 @@ def pareto_indices_2d(costs: np.ndarray) -> np.ndarray:
 def pareto_indices(costs: np.ndarray) -> np.ndarray:
     """Return indices of the Pareto-minimal rows of a (n, d) cost matrix.
 
-    A row dominates another if it is <= everywhere and < somewhere.
-    Deterministic: among duplicate rows, the lexicographically earliest
-    sorted occurrence is kept.  Dispatches to the O(n log n) scan for two
-    columns and to a vectorised pairwise check otherwise.
+    A row dominates another if it is <= everywhere and < somewhere;
+    among duplicate rows the smallest index is kept.  Two columns take
+    :func:`pareto_indices_2d`.  Otherwise, after a stable lexsort (first
+    column primary) a row goes iff some earlier sorted row is <= it on
+    every trailing column: that row dominates or duplicates it.  The
+    sorted rows are decided in blocks of :data:`_BLOCK_ROWS`, each
+    against the rows kept so far plus its own earlier rows, so memory
+    stays bounded for any n.  NaN costs are rejected.
     """
     costs = np.asarray(costs, dtype=float)
-    if costs.ndim != 2:
+    if costs.ndim != 2 or costs.shape[1] == 0:
         raise OptimizationError(
-            f"costs must be a 2-D matrix, got shape {costs.shape}"
+            f"costs must be an (n, d >= 1) matrix, got shape {costs.shape}"
         )
-    n = costs.shape[0]
-    if n == 0:
-        return np.empty(0, dtype=int)
     if costs.shape[1] == 2:
         return pareto_indices_2d(costs)
-    if n <= 4096:
-        # Vectorised pairwise dominance: dominated[i] iff some j has
-        # costs[j] <= costs[i] everywhere and < somewhere.  The strict
-        # part needs no second comparison: any(a < b) == not all(b <= a),
-        # i.e. the transpose of the <= matrix.  Rows <= each other both
-        # ways are equal; exact duplicates collapse to the first
-        # occurrence, so row i also goes when an earlier row equals it.
-        less_equal = (costs[:, None, :] <= costs[None, :, :]).all(axis=2)
-        beaten = less_equal & ~less_equal.T  # [j, i]: j dominates i
-        beaten |= np.triu(less_equal & less_equal.T, k=1)  # j < i, equal
-        return np.flatnonzero(~beaten.any(axis=0))
-    # Large high-dimensional inputs: sort-based scan.  After a stable
-    # lexsort (first column primary) every dominator or duplicate of a row
-    # sorts before it, so each row needs checking only against the rows
-    # kept so far — and a kept row that is <= everywhere either dominates
-    # (skip) or is an exact duplicate (also skip), so one vectorised
-    # comparison per row decides it.
+    if np.isnan(costs).any():
+        raise OptimizationError("costs contain NaN")
+    n = costs.shape[0]
     order = np.lexsort(costs.T[::-1])
-    kept_rows = np.empty_like(costs)
-    kept: List[int] = []
-    count = 0
-    for index in order:
-        row = costs[index]
-        if count and np.any(np.all(kept_rows[:count] <= row, axis=1)):
-            continue
-        kept_rows[count] = row
-        kept.append(index)
-        count += 1
-    return np.array(sorted(kept), dtype=int)
+    trailing = costs[order, 1:].T
+    positions = np.arange(n)
+    kept = positions[:0]
+    for start in range(0, n, _BLOCK_ROWS):
+        block = positions[start:start + _BLOCK_ROWS]
+        earlier = np.concatenate([kept, block])
+        # covered[i, j]: earlier[i] sorts before block[j] and is <= it on
+        # every trailing column.  Built per column on 2-D matrices: an
+        # (m, m, d) .all(axis=2) over the short last axis is far slower.
+        covered = earlier[:, None] < block
+        for mine, theirs in zip(
+            trailing[:, earlier], trailing[:, start:start + _BLOCK_ROWS]
+        ):
+            covered &= mine[:, None] <= theirs
+        kept = np.concatenate([kept, block[~covered.any(axis=0)]])
+    return np.sort(order[kept])
 
 
 def pareto_front(

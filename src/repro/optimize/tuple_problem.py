@@ -151,7 +151,7 @@ def _cache_options_for_pairs(
     # each step.  Exact for the same additive reason: a dominated partial
     # sum stays dominated whatever the remaining components add.  The
     # intermediate fronts stay small, so this never materialises the full
-    # n^4 product.
+    # n^4 product.  The first pruned subset is already a front.
     costs = None
     for component_costs in stacked:
         subset = component_costs[indices]
@@ -160,7 +160,7 @@ def _cache_options_for_pairs(
             costs = subset
         else:
             costs = (costs[:, None, :] + subset[None, :, :]).reshape(-1, 3)
-        costs = costs[pareto_indices(costs)]
+            costs = costs[pareto_indices(costs)]
     return _CacheOptions(
         delays=np.ascontiguousarray(costs[:, 0]),
         leakages=np.ascontiguousarray(costs[:, 1]),

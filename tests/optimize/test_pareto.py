@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import OptimizationError
+from repro.optimize import pareto
 from repro.optimize.pareto import (
     pareto_front,
     pareto_indices,
@@ -54,11 +55,38 @@ class TestHandCases:
         with pytest.raises(OptimizationError):
             pareto_indices(np.array([1.0, 2.0]))
 
+    def test_rejects_no_columns(self):
+        with pytest.raises(OptimizationError):
+            pareto_indices(np.empty((3, 0)))
+
+    def test_rejects_nan_3d(self):
+        # NaN compares false both ways, so it has no place in any order.
+        costs = np.array([[0.0, np.nan, 1.0], [1.0, 2.0, 0.0], [2.0, 1.0, 1.0]])
+        with pytest.raises(OptimizationError, match="NaN"):
+            pareto_indices(costs)
+
+    def test_infinities_allowed_3d(self):
+        costs = np.array(
+            [[np.inf, 0.0, 0.0], [1.0, -np.inf, 5.0], [1.0, 2.0, np.inf]]
+        )
+        assert list(pareto_indices(costs)) == [0, 1]
+
 
 class Test2dFastPath:
     def test_rejects_wrong_width(self):
         with pytest.raises(OptimizationError):
             pareto_indices_2d(np.ones((3, 3)))
+
+    def test_rejects_nan(self):
+        # A NaN would poison the running minimum and silently drop every
+        # later row.
+        costs = np.array([[0.0, np.nan], [1.0, 2.0], [2.0, 1.0]])
+        with pytest.raises(OptimizationError, match="NaN"):
+            pareto_indices_2d(costs)
+
+    def test_infinities_allowed(self):
+        costs = np.array([[0.0, np.inf], [1.0, 2.0], [-np.inf, 3.0]])
+        assert list(pareto_indices_2d(costs)) == [1, 2]
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -93,7 +121,7 @@ class Test2dAgainstGenericPairwise:
     @staticmethod
     def _pairwise_reference(costs):
         """Generic dominance check with first-occurrence duplicate collapse
-        (the same semantics as the small-n branch of pareto_indices)."""
+        (the same semantics as pareto_indices)."""
         kept = []
         seen = set()
         for i, row in enumerate(costs):
@@ -149,9 +177,9 @@ class Test2dAgainstGenericPairwise:
 
 
 def _unique_collapse_reference(costs):
-    """The pairwise branch as it was before duplicates were collapsed
-    with the dominance matrix: dominance first, then ``np.unique`` over
-    the survivors keeping each row's first occurrence."""
+    """Test-only oracle for :func:`pareto_indices`: an ``(n, n, d)``
+    pairwise dominance matrix, then ``np.unique`` over the survivors
+    keeping each row's first occurrence."""
     less_equal = (costs[:, None, :] <= costs[None, :, :]).all(axis=2)
     dominates = less_equal & ~less_equal.T
     keep = np.flatnonzero(~dominates.any(axis=0))
@@ -171,9 +199,9 @@ def _rows_with_repeats(values, width):
     )
 
 
-class TestPairwiseDuplicateCollapse:
-    """The pairwise (d > 2, small n) branch keeps exactly what the
-    ``np.unique`` collapse kept, index for index."""
+class TestSortKernelDuplicateCollapse:
+    """The sort kernel keeps exactly what the ``np.unique`` collapse
+    kept, index for index."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -209,27 +237,56 @@ class TestPairwiseDuplicateCollapse:
         assert list(pareto_indices(costs)) == [0, 1]
 
 
+class TestSortKernelAcrossBlocks:
+    """Tiny blocks make every input cross several block boundaries, so
+    the kept-rows test and the in-block triangle both decide rows."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=8),
+        st.sampled_from([1, 3, 4]).flatmap(
+            lambda width: _rows_with_repeats(
+                st.integers(min_value=0, max_value=3), width
+            )
+        ),
+    )
+    def test_matches_oracle_with_small_blocks(self, block_rows, rows):
+        costs = np.array(rows, dtype=float)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(pareto, "_BLOCK_ROWS", block_rows)
+            kept = pareto_indices(costs)
+        assert np.array_equal(kept, _unique_collapse_reference(costs))
+
+    def test_duplicates_straddling_a_boundary(self, monkeypatch):
+        monkeypatch.setattr(pareto, "_BLOCK_ROWS", 2)
+        costs = np.array(
+            [[1, 2, 2], [0, 5, 5], [1, 2, 2], [1, 2, 2], [0, 5, 5]],
+            dtype=float,
+        )
+        assert list(pareto_indices(costs)) == [0, 1]
+
+
 class TestLargeHighDimScan:
     def test_large_input_matches_pairwise_semantics(self):
-        # Push past the pairwise-path threshold to exercise the sort-based
-        # scan, with quantised values so duplicates and dominance both occur.
+        # Several default-size blocks, small enough for the oracle's
+        # (n, n, d) matrix.  Quantised and anticorrelated, so duplicates,
+        # dominance and a front of dozens of rows all occur.
         rng = np.random.default_rng(11)
-        costs = np.round(rng.random((5000, 3)) * 8) / 8.0
+        costs = np.round(rng.random((2500, 3)) * 8) / 8.0
+        costs[:, 2] = np.round(2.0 - costs[:, 0] - costs[:, 1] + costs[:, 2] / 4, 3)
         keep = pareto_indices(costs)
-        front = costs[keep]
-        # Mutually non-dominating and duplicate-free ...
-        for i in range(len(front)):
-            le = np.all(front <= front[i], axis=1)
-            lt = np.any(front < front[i], axis=1)
-            assert not np.any(le & lt)
-        assert len({tuple(row) for row in front}) == len(front)
-        # ... and nothing outside the front survives undominated.
-        sample = costs[rng.choice(len(costs), size=200, replace=False)]
-        for row in sample:
-            dominated_or_dup = np.any(np.all(front <= row, axis=1))
-            assert dominated_or_dup or any(
-                np.array_equal(row, kept_row) for kept_row in front
-            )
+        assert 10 < len(keep) < len(np.unique(costs, axis=0))
+        assert np.array_equal(keep, _unique_collapse_reference(costs))
+
+    def test_large_anticorrelated_front(self):
+        # A front of ~all rows stresses the kept-rows test, not the sort.
+        rng = np.random.default_rng(12)
+        costs = rng.random((2500, 3))
+        costs[:, 2] = 3.0 - costs[:, 0] - costs[:, 1]
+        costs = np.vstack([costs, costs[:300]])
+        keep = pareto_indices(costs)
+        assert len(keep) == 2500
+        assert np.array_equal(keep, _unique_collapse_reference(costs))
 
 
 class TestHelpers:

@@ -8,6 +8,8 @@ from repro.archsim.missmodel import calibrated_miss_model
 from repro.cache.cache_model import CacheModel
 from repro.cache.config import l1_config, l2_config
 from repro.errors import OptimizationError
+from repro.experiments.figure2 import fast_space
+from repro.optimize import tuple_problem
 from repro.optimize.space import DesignSpace
 from repro.optimize.tuple_problem import (
     FIGURE2_BUDGETS,
@@ -16,6 +18,8 @@ from repro.optimize.tuple_problem import (
     curve_ordering_at,
     solve_tuple_problem,
 )
+from repro.technology.nodes import node_technology
+from tests.optimize.test_pareto import _unique_collapse_reference
 
 
 @pytest.fixture(scope="module")
@@ -116,8 +120,6 @@ class TestPaperOrdering:
         the paper's system (16K L1, 1M L2) and a grid with interior Tox
         values; tiny grids with only extreme oxides bias toward Tox.
         """
-        from repro.experiments.figure2 import fast_space
-
         miss_model = calibrated_miss_model("spec2000")
         l1 = CacheModel(l1_config(16))
         l2 = CacheModel(l2_config(1024))
@@ -155,3 +157,27 @@ class TestValidation:
                 budgets=(TupleBudget(5, 5),),
                 space=micro_space,
             )
+
+
+class TestKernelAgainstOracle:
+    """Figure 2's curves come out the same with the sort kernel as with
+    the test-only pairwise oracle at every 3-column prune."""
+
+    @pytest.mark.parametrize("node, style", [(65, "itrs"), (8, "cons")])
+    def test_curves_identical(self, monkeypatch, node, style):
+        technology = node_technology(node, style)
+        args = (
+            CacheModel(l1_config(16), technology=technology),
+            CacheModel(l2_config(1024), technology=technology),
+            calibrated_miss_model("spec2000"),
+        )
+        space = fast_space(technology)
+        kernel = solve_tuple_problem(*args, space=space)
+        monkeypatch.setattr(
+            tuple_problem, "pareto_indices", _unique_collapse_reference
+        )
+        oracle = solve_tuple_problem(*args, space=space)
+        assert list(kernel) == list(oracle) == list(FIGURE2_BUDGETS)
+        for budget, curve in kernel.items():
+            assert np.array_equal(curve.amats, oracle[budget].amats)
+            assert np.array_equal(curve.energies, oracle[budget].energies)
