@@ -9,6 +9,7 @@ out is exactly these conditional terms.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
@@ -18,6 +19,23 @@ from repro.errors import ConfigurationError
 #: (energy of moving one cache line on the bus, amortised).
 DEFAULT_MEMORY_LATENCY = 20e-9
 DEFAULT_MEMORY_ENERGY = 2e-9
+
+
+def check_energy_input(
+    label: str, value: float, positive: bool = False
+) -> None:
+    """Raise :class:`ConfigurationError` unless ``value`` is finite and
+    ``>= 0`` (``> 0`` with ``positive``).
+
+    The finiteness test comes first because every comparison with NaN
+    is false: a bare ``value < 0`` lets NaN through.  The energy models
+    and both solvers' ``fill_factor`` arguments share this one check.
+    """
+    if not math.isfinite(value) or value < 0 or (positive and value == 0):
+        bound = "> 0" if positive else ">= 0"
+        raise ConfigurationError(
+            f"{label} must be finite and {bound}, got {value}"
+        )
 
 
 @dataclass(frozen=True)
@@ -33,14 +51,8 @@ class MainMemoryModel:
     energy_per_access: float = DEFAULT_MEMORY_ENERGY
 
     def __post_init__(self) -> None:
-        if self.latency <= 0:
-            raise ConfigurationError(
-                f"memory latency must be positive, got {self.latency}"
-            )
-        if self.energy_per_access < 0:
-            raise ConfigurationError(
-                f"memory energy must be >= 0, got {self.energy_per_access}"
-            )
+        check_energy_input("memory latency", self.latency, positive=True)
+        check_energy_input("memory energy", self.energy_per_access)
 
 
 @dataclass(frozen=True)
@@ -66,13 +78,8 @@ class DynamicEnergyModel:
     fill_factor: float = 1.0
 
     def __post_init__(self) -> None:
-        for label in ("l1_access_energy", "l2_access_energy"):
-            if getattr(self, label) < 0:
-                raise ConfigurationError(f"{label} must be >= 0")
-        if self.fill_factor < 0:
-            raise ConfigurationError(
-                f"fill_factor must be >= 0, got {self.fill_factor}"
-            )
+        for label in ("l1_access_energy", "l2_access_energy", "fill_factor"):
+            check_energy_input(label, getattr(self, label))
 
     def energy_per_reference(
         self, l1_miss_rate: float, l2_local_miss_rate: float

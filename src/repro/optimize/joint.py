@@ -23,7 +23,7 @@ import numpy as np
 from repro.archsim.missmodel import MissRateModel
 from repro.cache.cache_model import CacheModel
 from repro.cache.config import l1_config, l2_config
-from repro.energy.dynamic import MainMemoryModel
+from repro.energy.dynamic import MainMemoryModel, check_energy_input
 from repro.errors import OptimizationError
 from repro.optimize.pareto import pareto_indices
 from repro.optimize.schemes import Scheme
@@ -123,11 +123,14 @@ def optimize_memory_system(
     ------
     OptimizationError
         If the objective is unknown or no design meets the budget.
+    ConfigurationError
+        If ``fill_factor`` is negative or not finite.
     """
     if objective not in _OBJECTIVES:
         raise OptimizationError(
             f"unknown objective {objective!r}; expected one of {_OBJECTIVES}"
         )
+    check_energy_input("fill_factor", fill_factor)
     technology = technology if technology is not None else bptm65()
     if space is None:
         space = default_space(vth_step=0.05, tox_step=1.0)

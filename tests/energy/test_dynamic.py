@@ -20,6 +20,12 @@ class TestMainMemory:
         with pytest.raises(ConfigurationError):
             MainMemoryModel(energy_per_access=-1.0)
 
+    @pytest.mark.parametrize("field", ["latency", "energy_per_access"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite(self, field, value):
+        with pytest.raises(ConfigurationError, match="finite"):
+            MainMemoryModel(**{field: value})
+
 
 class TestComposition:
     @pytest.fixture
@@ -73,3 +79,12 @@ class TestComposition:
                 l2_access_energy=1e-12,
                 fill_factor=-0.5,
             )
+
+    @pytest.mark.parametrize(
+        "field", ["l1_access_energy", "l2_access_energy", "fill_factor"]
+    )
+    def test_rejects_nan(self, field):
+        values = dict(l1_access_energy=1e-12, l2_access_energy=1e-12)
+        values[field] = float("nan")
+        with pytest.raises(ConfigurationError, match=field):
+            DynamicEnergyModel(**values)

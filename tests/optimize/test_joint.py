@@ -4,7 +4,7 @@ import pytest
 
 from repro import units
 from repro.archsim.missmodel import blended_miss_model, calibrated_miss_model
-from repro.errors import OptimizationError
+from repro.errors import ConfigurationError, OptimizationError
 from repro.optimize.joint import (
     OBJECTIVE_ENERGY,
     OBJECTIVE_LEAKAGE,
@@ -115,6 +115,17 @@ class TestConstraints:
                 miss_model,
                 amat_budget=units.ps(2600),
                 objective="speed",
+                space=small_space,
+            )
+
+    @pytest.mark.parametrize("fill_factor", [-1.0, float("nan")])
+    def test_bad_fill_factor_raises(self, miss_model, small_space,
+                                    fill_factor):
+        with pytest.raises(ConfigurationError, match="fill_factor"):
+            optimize_memory_system(
+                miss_model,
+                amat_budget=units.ps(2600),
+                fill_factor=fill_factor,
                 space=small_space,
             )
 
