@@ -19,16 +19,16 @@ component automatically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Dict, Iterator, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
-from repro.errors import CircuitError
+from repro.errors import CircuitError, DeviceModelError
 from repro.technology.bptm import Technology
 from repro.technology.scaling import ToxScalingRule
 from repro.devices import delay as _delay
-from repro.devices.stack import two_stack_factor
 from repro.circuits.sram_cell import SramCell
 from repro.circuits.sense_amp import SenseAmplifier
 from repro.circuits.decoder import RowDecoder
@@ -69,6 +69,10 @@ class _ComponentBase:
     def evaluate(self, vth: float, tox: float) -> ComponentCost:
         key = (vth, tox)
         if key not in self._memo:
+            if not (math.isfinite(vth) and math.isfinite(tox)):
+                raise DeviceModelError(
+                    f"knobs must be finite, got Vth={vth}, Tox={tox}"
+                )
             self._memo[key] = self._evaluate(vth, tox)
         return self._memo[key]
 
@@ -91,33 +95,37 @@ class _ComponentBase:
             ``[i, j]`` equals the scalar ``evaluate(vths[i], toxes[j])``
             result for that quantity.
 
-        The sweep vectorizes along the Vth axis: buffer-chain structure
-        and all geometry depend only on Tox, so each Tox column is one
-        broadcast evaluation of the underlying device models over the
-        whole Vth vector (see :meth:`_grid_columns`).
+        The whole grid is one pass of :meth:`_evaluate`: Vth enters as an
+        ``(n_vth, 1)`` column and Tox as a ``(1, n_tox)`` row, so each
+        Vth-dependent device model runs once over every grid point.
+        Quantities that depend on Tox alone (geometry, wires, loads, gate
+        tunnelling, buffer-chain sizing) are computed per column on the
+        scalar path and stacked into rows, so column ``j`` equals a
+        Vth-vector evaluation at the float ``toxes[j]`` bit for bit.
         """
-        vths = np.atleast_1d(np.asarray(vths, dtype=float))
-        toxes = np.atleast_1d(np.asarray(toxes, dtype=float))
+        vths = np.asarray(vths, dtype=float)
+        toxes = np.asarray(toxes, dtype=float)
+        if vths.ndim > 1 or toxes.ndim > 1:
+            raise DeviceModelError(
+                "grid axes must be scalars or 1-D, got shapes "
+                f"{vths.shape} and {toxes.shape}"
+            )
+        vths = np.atleast_1d(vths)
+        toxes = np.atleast_1d(toxes)
+        if not (np.isfinite(vths).all() and np.isfinite(toxes).all()):
+            raise DeviceModelError(
+                f"knobs must be finite, got Vth={vths}, Tox={toxes}"
+            )
         shape = (vths.size, toxes.size)
-        delays = np.empty(shape)
-        leakages = np.empty(shape)
-        energies = np.empty(shape)
-        for j, cost in enumerate(self._grid_columns(vths, toxes)):
-            delays[:, j] = cost.delay
-            leakages[:, j] = cost.leakage_power
-            energies[:, j] = cost.dynamic_energy
-        return delays, leakages, energies
-
-    def _grid_columns(
-        self, vths: np.ndarray, toxes: np.ndarray
-    ) -> Iterator[ComponentCost]:
-        """Yield the cost over the whole Vth vector at each Tox in turn.
-
-        A component whose columns share work overrides this hook, not
-        :meth:`evaluate_grid`.
-        """
-        for tox in toxes:
-            yield self._evaluate(vths, float(tox))
+        if not vths.size or not toxes.size:
+            return np.empty(shape), np.empty(shape), np.empty(shape)
+        cost = self._evaluate(vths[:, None], toxes[None, :])
+        # Tox-only quantities come back as (1, n_tox) rows; every grid is
+        # returned as a fresh, writable (n_vth, n_tox) array.
+        return tuple(
+            np.array(np.broadcast_to(value, shape), dtype=float, order="C")
+            for value in (cost.delay, cost.leakage_power, cost.dynamic_energy)
+        )
 
     # Convenience accessors.
     def delay(self, vth: float, tox: float) -> float:
@@ -249,33 +257,11 @@ class DecoderComponent(_ComponentBase):
             gate_enabled=self.gate_enabled,
         )
 
-    def _grid_columns(
-        self, vths: np.ndarray, toxes: np.ndarray
-    ) -> Iterator[ComponentCost]:
-        # One stack solve spans the whole Vth x Tox grid; each column's
-        # decoder takes its slice instead of solving again.  Leff comes
-        # from the scalar geometry each column's decoder would use, so
-        # the slices equal per-column solves bit for bit.
-        factors = None
-        if self.stack_enabled:
-            leffs = np.array(
-                [self.rule.geometry(float(tox)).leff for tox in toxes]
-            )
-            factors = two_stack_factor(
-                self.technology, vths[:, None], toxes[None, :], leffs[None, :]
-            )
-        for j, tox in enumerate(toxes):
-            yield self._evaluate(
-                vths, float(tox), None if factors is None else factors[:, j]
-            )
-
-    def _evaluate(
-        self, vth: float, tox: float, stack_factor: float = None
-    ) -> ComponentCost:
+    def _evaluate(self, vth: float, tox: float) -> ComponentCost:
         organization = self.organization
         tech = self.technology
         decoder = self._decoder_at(vth, tox)
-        cost = decoder.evaluate(vth, tox, stack_factor=stack_factor)
+        cost = decoder.evaluate(vth, tox)
         leakage = cost.leakage_current * tech.vdd * organization.n_decoders
         energy = cost.dynamic_energy * organization.active_subarrays
         count = cost.transistor_count * organization.n_decoders

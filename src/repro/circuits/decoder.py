@@ -28,9 +28,8 @@ import numpy as np
 from repro.errors import CircuitError
 from repro.units import is_power_of_two, log2_int
 from repro.technology.bptm import Technology
-from repro.technology.scaling import ToxScalingRule
+from repro.technology.scaling import ScaledGeometry, ToxScalingRule
 from repro.devices.mosfet import Mosfet, Polarity
-from repro.devices import delay as _delay
 from repro.devices import stack as _stack
 from repro.circuits.logical_effort import ELMORE_LN2, optimal_buffer_chain
 from repro.circuits.wires import Wire
@@ -90,7 +89,8 @@ class RowDecoder:
     wordline_cell_load:
         Summed access-gate capacitance (F) hanging on one word line.  This
         is Tox-dependent, so the caller (the cache component layer)
-        recomputes it per evaluation point and passes it in.
+        recomputes it per evaluation point (or per Tox column of a grid)
+        and passes it in.
     stack_enabled / gate_enabled:
         Ablation switches for the stack effect and gate tunnelling.
     """
@@ -106,7 +106,12 @@ class RowDecoder:
     def __post_init__(self) -> None:
         if not is_power_of_two(self.n_rows):
             raise CircuitError(f"n_rows must be a power of two, got {self.n_rows}")
-        if self.wordline_cell_load < 0:
+        load = self.wordline_cell_load
+        if isinstance(load, np.ndarray):
+            negative = np.any(np.less(load, 0))
+        else:
+            negative = load < 0
+        if negative:
             raise CircuitError(
                 f"word-line cell load must be >= 0, got {self.wordline_cell_load}"
             )
@@ -121,9 +126,10 @@ class RowDecoder:
 
     # -- helpers ------------------------------------------------------------
 
-    def _nand(self, fan_in: int, vth: float, tox: float) -> Tuple[Mosfet, Mosfet]:
+    def _nand(
+        self, fan_in: int, vth: float, geometry: ScaledGeometry
+    ) -> Tuple[Mosfet, Mosfet]:
         """Return (series NMOS, parallel PMOS) devices of a NAND gate."""
-        geometry = self.rule.geometry(tox)
         tech = self.technology
         nmos = Mosfet(
             polarity=Polarity.NMOS,
@@ -131,7 +137,7 @@ class RowDecoder:
             lgate=geometry.lgate_drawn,
             leff=geometry.leff,
             vth=vth,
-            tox=tox,
+            tox=geometry.tox,
         )
         pmos = Mosfet(
             polarity=Polarity.PMOS,
@@ -139,12 +145,13 @@ class RowDecoder:
             lgate=geometry.lgate_drawn,
             leff=geometry.leff,
             vth=vth,
-            tox=tox,
+            tox=geometry.tox,
         )
         return nmos, pmos
 
     def _nand_leakage(
-        self, fan_in: int, vth: float, tox: float, stack_factor: float
+        self, fan_in: int, vth: float, geometry: ScaledGeometry,
+        stack_factor: float,
     ) -> float:
         """Standby leakage (A) of one idle NAND gate (stack suppressed).
 
@@ -152,7 +159,7 @@ class RowDecoder:
         the stack effect off.
         """
         tech = self.technology
-        nmos, pmos = self._nand(fan_in, vth, tox)
+        nmos, pmos = self._nand(fan_in, vth, geometry)
         sub = nmos.off_subthreshold(tech)
         if stack_factor is not None:
             sub = sub * _stack.deeper_stack_factor(stack_factor, max(fan_in, 1))
@@ -174,24 +181,21 @@ class RowDecoder:
 
     # -- evaluation ----------------------------------------------------------
 
-    def evaluate(
-        self, vth: float, tox: float, stack_factor: float = None
-    ) -> DecoderCost:
+    def evaluate(self, vth: float, tox: float) -> DecoderCost:
         """Return delay / leakage / energy of the decoder at (vth, tox).
 
-        Every NAND gate shares one 2-stack factor
-        (:func:`repro.devices.stack.two_stack_factor`).  A caller that has
-        already solved it at these knobs, such as the component grid,
-        passes it as ``stack_factor``; otherwise it is solved here once.
-        It is ignored when the stack effect is off.
+        For a grid, ``vth`` is an ``(n_vth, 1)`` column, ``tox`` a
+        ``(1, n_tox)`` row, and the word-line wire and cell load hold one
+        value per Tox column.  Every NAND gate shares one 2-stack factor
+        (:func:`repro.devices.stack.two_stack_factor`), solved once here
+        over all the knob points.
         """
         tech = self.technology
         geometry = self.rule.geometry(tox)
         groups = self.groups
         n_groups = len(groups)
-        if not self.stack_enabled:
-            stack_factor = None
-        elif stack_factor is None:
+        stack_factor = None
+        if self.stack_enabled:
             stack_factor = _stack.two_stack_factor(tech, vth, tox, geometry.leff)
 
         # ---- delay: predecode NAND -> row NAND -> word-line driver chain.
@@ -200,8 +204,8 @@ class RowDecoder:
         # line, loaded by (n_rows / 2^group) row-NAND inputs -> approximate
         # fanout n_rows / 2^min(group).
         pre_fan_in = max(groups)
-        pre_nmos, _ = self._nand(pre_fan_in, vth, tox)
-        row_nmos, row_pmos = self._nand(n_groups, vth, tox)
+        pre_nmos, _ = self._nand(pre_fan_in, vth, geometry)
+        row_nmos, row_pmos = self._nand(n_groups, vth, geometry)
         row_input_cap = row_nmos.input_capacitance(tech) + row_pmos.input_capacitance(
             tech
         )
@@ -229,17 +233,8 @@ class RowDecoder:
         )
         # Driver chain internal delay (its last stage drives the lumped
         # word-line load; replace that lumped estimate with the Elmore
-        # wire delay for the final stage).
-        last = chain.inverters[-1]
-        # Match the chain's own accounting (N/P average) so the final
-        # lumped term is subtracted exactly before the distributed model
-        # replaces it.
-        r_last = 0.5 * (
-            _delay.effective_resistance(tech, last.wn, geometry.leff, vth, tox)
-            + _delay.effective_resistance(
-                tech, last.wp, geometry.leff, vth, tox, p_type=True
-            )
-        )
+        # wire delay for the final hop).
+        r_last = chain.output_resistance
         wire_delay = self.wordline_wire.elmore_delay(
             r_last, self.wordline_cell_load
         )
@@ -247,8 +242,7 @@ class RowDecoder:
         # the chain's internal stages and use the distributed estimate for
         # the final hop.
         internal = chain.delay - ELMORE_LN2 * r_last * (
-            wordline_load
-            + _delay.junction_capacitance(tech, last.total_width)
+            wordline_load + chain.output_capacitance
         )
         delay += np.maximum(internal, 0.0) + wire_delay
 
@@ -256,10 +250,10 @@ class RowDecoder:
         leakage = 0.0
         for group in groups:
             leakage += (2 ** group) * self._nand_leakage(
-                group, vth, tox, stack_factor
+                group, vth, geometry, stack_factor
             )
         leakage += self.n_rows * self._nand_leakage(
-            n_groups, vth, tox, stack_factor
+            n_groups, vth, geometry, stack_factor
         )
         leakage += self.n_rows * (
             chain.subthreshold_leakage + chain.gate_leakage

@@ -22,7 +22,6 @@ import numpy as np
 from repro.errors import CircuitError
 from repro.technology.bptm import Technology
 from repro.technology.scaling import ToxScalingRule
-from repro.devices import delay as _delay
 from repro.circuits.logical_effort import ELMORE_LN2, optimal_buffer_chain
 from repro.circuits.wires import Wire
 
@@ -73,7 +72,11 @@ class BusDriver:
             )
 
     def evaluate(self, vth: float, tox: float) -> DriverCost:
-        """Return delay / leakage / energy of the bank at (vth, tox)."""
+        """Return delay / leakage / energy of the bank at (vth, tox).
+
+        For a grid, ``vth`` is an ``(n_vth, 1)`` column, ``tox`` a
+        ``(1, n_tox)`` row and the wire one length per Tox column.
+        """
         tech = self.technology
         geometry = self.rule.geometry(tox)
         line_load = self.wire.capacitance + self.far_end_load
@@ -89,18 +92,12 @@ class BusDriver:
         )
 
         # Delay: chain internal stages + distributed wire for the final hop.
-        last = chain.inverters[-1]
-        # Match the chain's own accounting (N/P average) so the final
-        # lumped term is subtracted exactly before the distributed model
+        # The chain charged its final stage against the lumped line load;
+        # subtract exactly that term before the distributed model
         # replaces it.
-        r_last = 0.5 * (
-            _delay.effective_resistance(tech, last.wn, geometry.leff, vth, tox)
-            + _delay.effective_resistance(
-                tech, last.wp, geometry.leff, vth, tox, p_type=True
-            )
-        )
+        r_last = chain.output_resistance
         internal = chain.delay - ELMORE_LN2 * r_last * (
-            line_load + _delay.junction_capacitance(tech, last.total_width)
+            line_load + chain.output_capacitance
         )
         wire_delay = self.wire.elmore_delay(r_last, self.far_end_load)
         delay = np.maximum(internal, 0.0) + wire_delay

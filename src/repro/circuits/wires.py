@@ -32,7 +32,7 @@ class Wire:
     Attributes
     ----------
     length:
-        Physical length (m).
+        Physical length (m); a row of lengths for a row of Tox columns.
     res_per_m / cap_per_m:
         Per-unit-length parasitics (ohm/m, F/m).
     """
@@ -42,7 +42,11 @@ class Wire:
     cap_per_m: float
 
     def __post_init__(self) -> None:
-        if self.length < 0:
+        # ``length`` is an array when a grid carries one wire per Tox column.
+        if not isinstance(self.length, np.ndarray):
+            if self.length < 0:
+                raise CircuitError(f"wire length must be >= 0, got {self.length}")
+        elif np.any(np.less(self.length, 0)):
             raise CircuitError(f"wire length must be >= 0, got {self.length}")
         if self.res_per_m < 0 or self.cap_per_m < 0:
             raise CircuitError(

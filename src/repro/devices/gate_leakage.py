@@ -59,44 +59,36 @@ def gate_current_density(technology: Technology, voltage: float, tox: float) -> 
         Physical oxide thickness (m).
 
     Both arguments may be numpy arrays; they broadcast and the density
-    comes back with the broadcast shape.
+    comes back with the broadcast shape.  Arrays are evaluated element by
+    element on the scalar (``math``) path: numpy's ``exp`` differs from
+    ``math.exp`` in the last ulp, and a grid column of gate currents must
+    equal the scalar evaluation at its Tox exactly.
     """
-    if not isinstance(voltage, np.ndarray) and not isinstance(tox, np.ndarray):
-        if tox <= 0:
-            raise DeviceModelError(f"tox must be positive, got {tox}")
-        if voltage < 0:
-            raise DeviceModelError(
-                f"oxide voltage magnitude must be >= 0, got {voltage}"
-            )
-        if voltage == 0.0:
-            return 0.0
-        barrier_factor = 1.0 - voltage / (4.0 * BARRIER_HEIGHT)
-        if barrier_factor <= 0:
-            raise DeviceModelError(
-                f"oxide voltage {voltage} V exceeds the model's validity (>~12 V)"
-            )
-        field_term = (voltage / tox) ** 2
-        return (
-            technology.gate_tunnel_k
-            * field_term
-            * math.exp(-technology.gate_tunnel_b * tox * barrier_factor)
-        )
-    if np.any(np.less_equal(tox, 0)):
+    if isinstance(voltage, np.ndarray) or isinstance(tox, np.ndarray):
+        voltages, toxes = np.broadcast_arrays(voltage, tox)
+        return np.reshape([
+            gate_current_density(technology, v, t)
+            for v, t in zip(voltages.ravel().tolist(), toxes.ravel().tolist())
+        ], voltages.shape)
+    if tox <= 0:
         raise DeviceModelError(f"tox must be positive, got {tox}")
-    if np.any(np.less(voltage, 0)):
-        raise DeviceModelError(f"oxide voltage magnitude must be >= 0, got {voltage}")
-    barrier_factor = 1.0 - np.asarray(voltage, dtype=float) / (4.0 * BARRIER_HEIGHT)
-    if np.any(np.logical_and(np.greater(voltage, 0), barrier_factor <= 0)):
+    if voltage < 0:
+        raise DeviceModelError(
+            f"oxide voltage magnitude must be >= 0, got {voltage}"
+        )
+    if voltage == 0.0:
+        return 0.0
+    barrier_factor = 1.0 - voltage / (4.0 * BARRIER_HEIGHT)
+    if barrier_factor <= 0:
         raise DeviceModelError(
             f"oxide voltage {voltage} V exceeds the model's validity (>~12 V)"
         )
     field_term = (voltage / tox) ** 2
-    density = (
+    return (
         technology.gate_tunnel_k
         * field_term
-        * np.exp(-technology.gate_tunnel_b * tox * barrier_factor)
+        * math.exp(-technology.gate_tunnel_b * tox * barrier_factor)
     )
-    return np.where(np.equal(voltage, 0.0), 0.0, density)[()]
 
 
 def gate_tunnel_current(

@@ -56,6 +56,24 @@ class Mosfet:
     tox: float
 
     def __post_init__(self) -> None:
+        if isinstance(self.tox, np.ndarray):
+            # Grid evaluation: Vth and the Tox-derived lengths are arrays.
+            if (np.any(np.less_equal(self.width, 0))
+                    or np.any(np.less_equal(self.lgate, 0))
+                    or np.any(np.less_equal(self.leff, 0))):
+                raise DeviceModelError(
+                    f"geometry must be positive: W={self.width}, "
+                    f"L={self.lgate}, Leff={self.leff}"
+                )
+            if np.any(np.greater(self.leff, self.lgate)):
+                raise DeviceModelError(
+                    f"Leff={self.leff} exceeds drawn length {self.lgate}"
+                )
+            if np.any(np.less_equal(self.vth, 0)):
+                raise DeviceModelError(f"vth must be positive, got {self.vth}")
+            if np.any(np.less_equal(self.tox, 0)):
+                raise DeviceModelError(f"tox must be positive, got {self.tox}")
+            return
         if self.width <= 0 or self.lgate <= 0 or self.leff <= 0:
             raise DeviceModelError(
                 f"geometry must be positive: W={self.width}, "
@@ -70,10 +88,7 @@ class Mosfet:
                 raise DeviceModelError(f"vth must be positive, got {self.vth}")
         elif np.any(np.less_equal(self.vth, 0)):
             raise DeviceModelError(f"vth must be positive, got {self.vth}")
-        if not isinstance(self.tox, np.ndarray):
-            if self.tox <= 0:
-                raise DeviceModelError(f"tox must be positive, got {self.tox}")
-        elif np.any(np.less_equal(self.tox, 0)):
+        if self.tox <= 0:
             raise DeviceModelError(f"tox must be positive, got {self.tox}")
 
     @property

@@ -28,7 +28,11 @@ import numpy as np
 
 from repro.errors import DeviceModelError
 from repro.technology.bptm import Technology
-from repro.devices.subthreshold import subthreshold_current
+from repro.devices.subthreshold import (
+    subthreshold_current,
+    subthreshold_prefactor,
+    weak_inversion_current,
+)
 
 
 def _stack2_current(
@@ -111,14 +115,27 @@ def solve_intermediate_node(
     vth_b, tox_b, leff_b = np.broadcast_arrays(
         *(np.atleast_1d(np.asarray(knob, dtype=float)) for knob in knobs)
     )
+    if np.any(np.less_equal(leff_b, 0)):
+        raise DeviceModelError(f"Leff must be positive, got {leff}")
+    # The two devices of :func:`_stack2_current` at every step, with the
+    # loop-invariant pre-exponential hoisted: the bias checks the full
+    # model would repeat hold by construction (0 < mid <= Vdd / 2).
+    i0_ratio = subthreshold_prefactor(technology, tox_b) * (1.0 / leff_b)
+    n_vt = technology.subthreshold_swing_n * technology.thermal_voltage
+    vdd = technology.vdd
     shape = vth_b.shape
     lo = np.zeros(shape)
-    hi = np.full(shape, technology.vdd / 2.0)
+    hi = np.full(shape, vdd / 2.0)
     result = np.zeros(shape)
     done = np.zeros(shape, dtype=bool)
     for _ in range(max_iterations):
         mid = 0.5 * (lo + hi)
-        i_top, i_bottom = _stack2_current(technology, vth_b, tox_b, leff_b, mid)
+        i_top = weak_inversion_current(
+            technology, i0_ratio, vth_b, 0.0, vdd - mid, mid
+        ) * np.exp(-mid / n_vt)
+        i_bottom = weak_inversion_current(
+            technology, i0_ratio, vth_b, 0.0, np.maximum(mid, 1e-6)
+        )
         converged = np.abs(i_top - i_bottom) <= tolerance * np.maximum(
             np.maximum(i_top, i_bottom), 1e-30
         )

@@ -158,19 +158,39 @@ def subthreshold_current(
             f"bias magnitudes must be non-negative, got Vgs={vgs}, Vds={vds}"
         )
 
+    i0 = subthreshold_prefactor(technology, tox, p_type=p_type)
+    return weak_inversion_current(
+        technology, i0 * (width / leff), vth, vgs, vds, vsb
+    )
+
+
+def weak_inversion_current(
+    technology: Technology,
+    i0_ratio,
+    vth,
+    vgs,
+    vds,
+    vsb=0.0,
+):
+    """The array branch of :func:`subthreshold_current` past its geometry
+    and bias checks.
+
+    ``i0_ratio`` is the pre-exponential times ``W / Leff``.  An iterative
+    solver that evaluates the same devices at many biases (the stack
+    node's bisection) computes it once and checks its inputs once; only
+    the strong-inversion check depends on the bias and stays here.
+    """
     vth_eff = effective_threshold(technology, vth, vds, vsb)
     if np.any(np.greater_equal(vgs, vth_eff)):
         raise DeviceModelError(
             f"Vgs={vgs} V >= effective Vth={vth_eff} V: device is in "
             "strong inversion; use repro.devices.delay.on_current instead"
         )
-
     vt = technology.thermal_voltage
     n = technology.subthreshold_swing_n
-    i0 = subthreshold_prefactor(technology, tox, p_type=p_type)
     exponent = (vgs - vth_eff) / (n * vt)
     drain_term = np.where(np.greater(vds, 0), 1.0 - np.exp(-np.divide(vds, vt)), 0.0)
-    return i0 * (width / leff) * np.exp(exponent) * drain_term
+    return i0_ratio * np.exp(exponent) * drain_term
 
 
 def off_current_per_width(

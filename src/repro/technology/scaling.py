@@ -82,17 +82,26 @@ class ToxScalingRule:
     def length_scale(self, tox: float) -> float:
         """Return the drawn-length multiplier for oxide thickness ``tox`` (m).
 
-        ``tox`` may be a numpy array; the multiplier broadcasts with it.
+        ``tox`` may be a numpy array.  Its elements are then evaluated
+        one by one on the scalar path: numpy's ``**`` can differ from
+        Python's in the last ulp, and a grid column's geometry must equal
+        the scalar geometry at its Tox exactly.
         """
-        if not isinstance(tox, np.ndarray):
-            if tox <= 0:
-                raise TechnologyError(f"tox must be positive, got {tox}")
-        elif np.any(np.less_equal(tox, 0)):
+        if isinstance(tox, np.ndarray):
+            return np.reshape(
+                [self.length_scale(value) for value in tox.ravel().tolist()],
+                tox.shape,
+            )
+        if tox <= 0:
             raise TechnologyError(f"tox must be positive, got {tox}")
         return (tox / self.technology.tox_ref) ** self.length_exponent
 
     def geometry(self, tox: float) -> ScaledGeometry:
-        """Return the full scaled geometry for oxide thickness ``tox`` (m)."""
+        """Return the full scaled geometry for oxide thickness ``tox`` (m).
+
+        ``tox`` may be a numpy array (a row of Tox grid columns); every
+        length then has its shape (see :meth:`length_scale`).
+        """
         scale = self.length_scale(tox)
         tech = self.technology
         return ScaledGeometry(

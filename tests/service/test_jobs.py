@@ -94,6 +94,22 @@ def test_cancelled_running_job_discards_result(client):
     assert "result" not in final
 
 
+def _settled_statuses(manager, job_ids, still=0.3, timeout=5.0):
+    """Poll the jobs' statuses until they have not changed for ``still``
+    seconds; returns job id -> status."""
+    deadline = time.monotonic() + timeout
+    statuses = None
+    since = time.monotonic()
+    while time.monotonic() < deadline:
+        now = {job_id: manager.get(job_id)["status"] for job_id in job_ids}
+        if now != statuses:
+            statuses, since = now, time.monotonic()
+        elif time.monotonic() - since >= still:
+            return statuses
+        time.sleep(0.02)
+    raise AssertionError(f"job statuses never settled: {statuses}")
+
+
 class TestJobManagerUnit:
     def test_timeout_expires_running_job(self):
         manager = JobManager(max_workers=1, timeout_seconds=0.6)
@@ -113,14 +129,21 @@ class TestJobManagerUnit:
         # pool's management thread time to prefetch a second work item,
         # and this test pins the queue-withdrawal timing, not the store.
         manager = JobManager(max_workers=1, max_queue=8, durable=False)
-        manager.submit("nap", time.sleep, 1.0)
-        queued = [manager.submit("nap", time.sleep, 1.0)
+        manager.submit("nap", time.sleep, 2.0)
+        queued = [manager.submit("nap", time.sleep, 0.2)
                   for _ in range(3)]
+        # ProcessPoolExecutor prefetches up to max_workers + 1 work items
+        # into RUNNING, where Future.cancel() fails; how many it takes
+        # depends on when its management thread ran.  It takes no more
+        # until the first job finishes, so states that have held still
+        # for a moment hold through shutdown's cancel pass.
+        before = _settled_statuses(manager, queued)
+        pending = [job_id for job_id in queued if before[job_id] == "queued"]
         summary = manager.shutdown(wait_seconds=10.0)
-        assert summary["cancelled"] >= len(queued)
+        for job_id in pending:
+            assert manager.get(job_id)["status"] == CANCELLED
+        assert summary["cancelled"] == len(pending)
         assert summary["cancelled"] + summary["drained"] == 4
-        for job_id in queued:
-            assert manager.get(job_id)["status"] in (CANCELLED, TIMEOUT)
 
     def test_submit_after_shutdown_is_rejected(self):
         from repro.errors import ServiceUnavailableError
