@@ -11,9 +11,7 @@ deduplicated, checkpointed unit fleet out:
 ``runner``
     :class:`~repro.campaign.runner.CampaignManager` — executes plans on
     the shared job pool with bounded fan-out, per-unit retry, and
-    per-unit checkpointing.
-``store``
-    The ``campaigns`` disk namespace: fingerprint-keyed unit results.
+    per-unit checkpointing to the ``campaigns`` disk namespace.
 
 This package sits *below* :mod:`repro.service` (the service imports it,
 never the reverse at module level).
@@ -30,7 +28,6 @@ from repro.campaign.spec import (
     OptimizeBlock,
     SweepBlock,
 )
-from repro.campaign.store import CampaignStore
 
 __all__ = [
     "AmatBlock",
@@ -38,7 +35,6 @@ __all__ = [
     "CampaignConstraints",
     "CampaignManager",
     "CampaignSpec",
-    "CampaignStore",
     "MatrixBlock",
     "OptimizeBlock",
     "Plan",

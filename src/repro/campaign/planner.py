@@ -36,7 +36,7 @@ from repro.archsim.workloads import WorkloadSpec
 from repro.cache.assignment import Knobs
 from repro.cache.config import CacheConfig
 from repro.optimize.two_level import default_l1_knobs, default_l2_knobs
-from repro.perf.disk_cache import make_fingerprint
+from repro.perf.disk_cache import DiskCache, make_fingerprint
 from repro.technology.nodes import node_technology
 from repro.perf.profile_store import (
     L1_SURFACE_SET_COUNTS,
@@ -47,7 +47,10 @@ from repro.perf.profile_store import (
 )
 
 from repro.campaign.spec import CAMPAIGN_FORMAT, CampaignSpec
-from repro.campaign.store import CampaignStore
+
+#: Disk namespace of unit checkpoints, keyed by unit fingerprint (the
+#: runner keeps its per-campaign state records there too).
+CHECKPOINTS = "campaigns"
 
 #: Unit kinds that run as their own job on the worker pool; everything
 #: else is served inline by the campaign coordinator (surface slices and
@@ -156,13 +159,9 @@ def profile_unit_result(spec: WorkloadSpec, policy: str, n_accesses: int,
     }
 
 
-def build_plan(
-    spec: CampaignSpec,
-    cache_dir=None,
-    store: Optional[CampaignStore] = None,
-) -> Plan:
+def build_plan(spec: CampaignSpec, cache_dir=None) -> Plan:
     """Expand, canonicalise, dedup, and pre-complete one campaign."""
-    checkpoint_store = store if store is not None else CampaignStore(cache_dir)
+    checkpoints = DiskCache(CHECKPOINTS, directory=cache_dir)
     profile_store = get_store(cache_dir)
     plan = Plan(spec=spec)
     counters: Dict[str, int] = {}
@@ -226,7 +225,7 @@ def build_plan(
     def reuse_from_checkpoint(unit: Unit) -> None:
         if unit.unit_id in plan.reused:
             return
-        checkpointed = checkpoint_store.load(unit.fingerprint)
+        checkpointed = checkpoints.load(unit.fingerprint)
         if checkpointed is not None:
             plan.reused[unit.unit_id] = checkpointed
 

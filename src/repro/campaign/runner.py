@@ -14,7 +14,12 @@ coordinator thread:
 * every completed unit is **checkpointed** to the ``campaigns`` disk
   namespace under its canonical fingerprint the moment it finishes, so a
   killed daemon resumes a resubmitted campaign from the last finished
-  unit instead of from zero.
+  unit instead of from zero;
+* every campaign keeps one shared **state record** in the same
+  namespace (``campaign-state:<id>``, format in
+  :mod:`repro.perf.records`): the raw spec document plus a progress
+  snapshot, so any worker can answer for the campaign and a surviving
+  worker can adopt it after its owner dies.
 
 Import discipline: no module-level ``repro.service`` imports — the
 service layer imports this module.  The one service helper the sweep
@@ -49,11 +54,15 @@ from repro.optimize.single_cache import (
     minimize_leakage,
 )
 from repro.optimize.space import DesignSpace
+from repro.perf import records
+from repro.perf.disk_cache import DiskCache
+from repro.perf.records import TERMINAL
 from repro.perf.profile_store import get_store
 from repro.perf.table_cache import cached_tables
 from repro.technology.nodes import node_technology
 
 from repro.campaign.planner import (
+    CHECKPOINTS,
     Plan,
     Unit,
     build_plan,
@@ -62,15 +71,12 @@ from repro.campaign.planner import (
     workload_from_payload,
 )
 from repro.campaign.spec import CampaignSpec
-from repro.campaign.store import CampaignStore
-from repro.procutil import owner_alive, proc_start_ticks
 
 #: Campaign statuses.
 RUNNING = "running"
 DONE = "done"
 FAILED = "failed"
 CANCELLED = "cancelled"
-TERMINAL = (DONE, FAILED, CANCELLED)
 
 #: Unit statuses (``reused`` = born done from a checkpoint or surface).
 UNIT_PENDING = "pending"
@@ -438,7 +444,8 @@ class CampaignManager:
         self._max_inflight = max(1, max_inflight)
         self._unit_retries = max(0, unit_retries)
         self._poll_interval = poll_interval
-        self._store = CampaignStore(cache_dir)
+        # Unit checkpoints and per-campaign state records.
+        self._disk = DiskCache(CHECKPOINTS, directory=cache_dir)
         # Injected by the service layer (import discipline: this
         # package cannot import repro.service.schemas itself).  Without
         # it, campaigns of dead workers are reported from their state
@@ -498,7 +505,7 @@ class CampaignManager:
                 raise ServiceUnavailableError(
                     "the service is shutting down; no new campaigns accepted"
                 )
-        plan = build_plan(spec, cache_dir=self._cache_dir, store=self._store)
+        plan = build_plan(spec, cache_dir=self._cache_dir)
         now = time.time()
         adopted = campaign_id is not None
         with self._lock:
@@ -556,6 +563,10 @@ class CampaignManager:
 
     # -- shared-state recovery ---------------------------------------------
 
+    @staticmethod
+    def _state_key(campaign_id: str) -> str:
+        return f"campaign-state:{campaign_id}"
+
     def _persist_state(self, campaign: _Campaign) -> None:
         """Write this campaign's shared state record (best-effort).
 
@@ -571,28 +582,15 @@ class CampaignManager:
                 record["spec_body"] = campaign.spec_body
                 if campaign.cancel_source is not None:
                     record["cancelled_by"] = campaign.cancel_source
-            record["owner_pid"] = os.getpid()
-            record["owner_start_ticks"] = proc_start_ticks(os.getpid())
-            record["owner_worker"] = self._worker_id
-            record["persisted_at"] = time.time()
-            self._store.store_state(campaign.campaign_id, record)
-
-    @staticmethod
-    def _remote_snapshot(record: dict, note: Optional[str] = None) -> dict:
-        snapshot = {
-            key: value
-            for key, value in record.items()
-            if key not in (
-                "spec_body", "owner_pid", "owner_start_ticks",
-                "persisted_at",
+            records.write(
+                self._disk, self._state_key(campaign.campaign_id), record,
+                worker=self._worker_id, instance=self._instance,
             )
-        }
-        owner = record.get("owner_worker")
-        if owner is not None:
-            snapshot.setdefault("served_by", owner)
-        if note:
-            snapshot["note"] = note
-        return snapshot
+
+    def _state_record(self, campaign_id: str) -> Optional[dict]:
+        return records.read(
+            self._disk, self._state_key(campaign_id), "campaign_id"
+        )
 
     def _recover(self, campaign_id: str) -> Optional[dict]:
         """Resolve a locally-unknown campaign id via the shared store.
@@ -617,19 +615,13 @@ class CampaignManager:
         * no spec parser was injected (or the record carries no spec) —
           serve the record as-is; adoption is impossible.
         """
-        record = self._store.load_state(campaign_id)
+        record = self._state_record(campaign_id)
         if record is None:
             return None
         self._metrics.increment("campaigns.store_serves")
         status = record.get("status")
-        owner = record.get("owner_pid")
-        if (
-            status == RUNNING
-            and isinstance(owner, int)
-            and owner != os.getpid()
-            and owner_alive(owner, record.get("owner_start_ticks"))
-        ):
-            return self._remote_snapshot(
+        if status == RUNNING and records.owned_by_sibling(record):
+            return records.client_view(
                 record,
                 note="campaign is owned by another worker; this is its "
                      "latest persisted progress",
@@ -639,14 +631,14 @@ class CampaignManager:
         ):
             # A client cancelled it, or the run earned its failure:
             # the verdict is final on every worker.
-            return self._remote_snapshot(record)
+            return records.client_view(record)
         body = record.get("spec_body")
         if body is None or self._spec_parser is None:
-            return self._remote_snapshot(record)
+            return records.client_view(record)
         try:
             spec = self._spec_parser(body)
         except Exception:  # noqa: BLE001 - unparsable old record
-            return self._remote_snapshot(record)
+            return records.client_view(record)
         self.submit(spec, spec_body=body, campaign_id=campaign_id)
         return self.get(campaign_id, include_results=False)
 
@@ -675,30 +667,31 @@ class CampaignManager:
         """Block until the campaign is terminal or the wait elapses.
 
         A campaign owned by another (live) worker is long-polled
-        against the shared state record instead of the local condition
-        variable.
+        against the shared state record
+        (:func:`repro.perf.records.long_poll`) instead of the local
+        condition variable.
         """
         deadline = time.monotonic() + max(0.0, seconds)
-        with self._cond:
-            if campaign_id in self._campaigns:
-                return self._wait_local(
-                    campaign_id, deadline, include_results
-                )
-        while True:
+
+        def fetch() -> dict:
+            with self._cond:
+                if campaign_id in self._campaigns:  # ours, or adopted
+                    return self._wait_local(
+                        campaign_id, deadline, include_results
+                    )
             recovered = self._recover(campaign_id)
             if recovered is None:
                 raise ValidationError(
                     f"unknown campaign id {campaign_id!r}", status=404
                 )
             with self._cond:
-                if campaign_id in self._campaigns:  # adopted
+                if campaign_id in self._campaigns:  # adopted just now
                     return self._wait_local(
                         campaign_id, deadline, include_results
                     )
-            remaining = deadline - time.monotonic()
-            if recovered.get("status") in TERMINAL or remaining <= 0:
-                return recovered
-            time.sleep(min(remaining, 0.25))
+            return recovered
+
+        return records.long_poll(fetch, deadline)
 
     def _wait_local(
         self, campaign_id: str, deadline: float, include_results: bool
@@ -726,18 +719,12 @@ class CampaignManager:
         with self._cond:
             campaign = self._campaigns.get(campaign_id)
             if campaign is None:
-                record = self._store.load_state(campaign_id)
+                record = self._state_record(campaign_id)
                 if record is None:
                     raise ValidationError(
                         f"unknown campaign id {campaign_id!r}", status=404
                     )
-                note = None
-                if record.get("status") not in TERMINAL:
-                    note = (
-                        "campaign is owned by another worker; cancel it "
-                        "there or wait for its verdict"
-                    )
-                return self._remote_snapshot(record, note)
+                return records.cancel_view(record, "campaign")
             if campaign.status in TERMINAL:
                 return self._snapshot(campaign, include_results=False)
             campaign.cancel_requested = True
@@ -841,7 +828,7 @@ class CampaignManager:
             except ValidationError:
                 snapshot = {"status": "failed", "error": "job record lost"}
             status = snapshot.get("status")
-            if status not in ("done", "failed", "cancelled", "timeout"):
+            if status not in TERMINAL:
                 continue
             progressed = True
             with self._lock:
@@ -875,7 +862,7 @@ class CampaignManager:
         for unit in members:
             payload = per_unit.get(unit.unit_id)
             if payload is not None:
-                self._store.store(unit.fingerprint, payload)
+                self._disk.store(unit.fingerprint, payload)
         with self._cond:
             campaign.engine_passes += 1
             for unit in members:
@@ -1031,7 +1018,7 @@ class CampaignManager:
                 campaign, unit.unit_id, f"{type(error).__name__}: {error}"
             )
             return
-        self._store.store(unit.fingerprint, result)
+        self._disk.store(unit.fingerprint, result)
         with self._cond:
             if campaign.unit_status.get(unit.unit_id) == UNIT_RUNNING:
                 campaign.unit_status[unit.unit_id] = UNIT_DONE

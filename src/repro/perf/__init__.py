@@ -16,6 +16,10 @@ against multi-million-access traces a file read.
 computation) around dense per-workload (size, assoc) miss surfaces, so
 every calibration grid after the first is a slice instead of a trace
 pass.
+
+:mod:`repro.perf.records` is the worker-shared record format (owner
+stamp, liveness, client view, remote long-poll) behind durable jobs and
+campaigns.
 """
 
 from repro.perf.table_cache import (

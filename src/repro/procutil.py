@@ -1,18 +1,19 @@
 """Process-liveness helpers shared by the durable stores.
 
-The job store, the campaign store, and the cluster metrics board all
-record which process owns a piece of in-flight work and must later
-decide whether that owner is still alive.  A bare ``kill(pid, 0)``
-probe is not enough: pids are recycled, and on a busy host (supervisor
-restarts included) an unrelated process can inherit a dead worker's
-pid, making an orphaned record look owned forever.  The cure is the
+The shared job and campaign records (:mod:`repro.perf.records`) and
+the cluster metrics board both record which process owns a piece of
+in-flight work and must later decide whether that owner is still
+alive.  A bare ``kill(pid, 0)`` probe is not enough: pids are recycled,
+and on a busy host (supervisor restarts included) an unrelated process
+can inherit a dead worker's pid, making an orphaned record look owned
+forever.  The cure is the
 kernel's own incarnation stamp — ``/proc/<pid>/stat`` field 22, the
 process start time in clock ticks — which writers persist alongside
 their pid and readers compare before trusting liveness.
 
 This module sits below every other repro package (it imports nothing
-of repro) so both the service layer and the campaign layer can share
-one implementation without violating the import discipline.
+of repro), so the record format and the service layer share one
+implementation without violating the import discipline.
 """
 
 from __future__ import annotations

@@ -16,14 +16,15 @@ watchdog thread applies the same discard to jobs that exceed their
 timeout.  ``shutdown`` drains or cancels everything — it is the SIGTERM
 path, so it must never hang.
 
-Durability: every submission is mirrored into the shared
-:class:`~repro.service.jobstore.JobStore` (written at submit, atomically
-rewritten at every terminal transition), and ``get``/``wait_for``
-consult that store on a local miss.  In a multi-worker deployment any
-worker therefore answers ``GET /v1/jobs/<id>`` for work another process
-finished — including after the owning worker (or the whole daemon) was
-killed — and a job that died in flight with its worker resurfaces as a
-retryable failure instead of a 404.
+Durability: every submission is mirrored into a shared record
+(:mod:`repro.perf.records`, disk namespace ``jobs``; written at submit,
+atomically rewritten at every terminal transition), and
+``get``/``wait_for`` consult that record on a local miss.  In a
+multi-worker deployment any worker therefore answers
+``GET /v1/jobs/<id>`` for work another process finished — including
+after the owning worker (or the whole daemon) was killed — and a job
+that died in flight with its worker resurfaces as a retryable failure
+instead of a 404.
 """
 
 from __future__ import annotations
@@ -37,8 +38,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional
 
 from repro.errors import ServiceUnavailableError, ValidationError
+from repro.perf import records
+from repro.perf.disk_cache import DiskCache
+from repro.perf.records import TERMINAL
 
-from repro.service.jobstore import JobStore, snapshot_from_record
 from repro.service.metrics import MetricsRegistry
 
 #: States a job can be observed in.
@@ -48,8 +51,6 @@ DONE = "done"
 FAILED = "failed"
 CANCELLED = "cancelled"
 TIMEOUT = "timeout"
-
-_TERMINAL = (DONE, FAILED, CANCELLED, TIMEOUT)
 
 
 @dataclass
@@ -94,10 +95,9 @@ class JobManager:
         self._max_queue = max_queue
         self._timeout_seconds = timeout_seconds
         self._metrics = metrics if metrics is not None else MetricsRegistry()
-        self._store: Optional[JobStore] = (
-            JobStore(cache_dir, worker_id=worker_id,
-                     instance=self._instance)
-            if durable else None
+        self._worker_id = worker_id
+        self._disk: Optional[DiskCache] = (
+            DiskCache("jobs", directory=cache_dir) if durable else None
         )
         self._executor: Optional[ProcessPoolExecutor] = None
         self._shutdown = False
@@ -124,13 +124,23 @@ class JobManager:
         """A job id unique across workers, restarts, and processes."""
         return f"job-{self._instance}-{next(self._ids)}"
 
+    @staticmethod
+    def _record_key(job_id: str) -> str:
+        return f"job-record:{job_id}"
+
+    def _write(self, snapshot: dict) -> None:
+        """Write one snapshot as the job's shared record."""
+        if self._disk is not None:
+            records.write(
+                self._disk, self._record_key(snapshot["job_id"]), snapshot,
+                worker=self._worker_id, instance=self._instance,
+            )
+
     def _persist(self, job: _Job) -> None:
-        """Mirror one job's current snapshot into the shared store."""
-        if self._store is None:
-            return
+        """Mirror one job's current snapshot into its shared record."""
         with self._lock:
             snapshot = self._snapshot(job)
-        self._store.write(snapshot)
+        self._write(snapshot)
 
     def _ensure_executor(self) -> ProcessPoolExecutor:
         if self._executor is None:
@@ -227,8 +237,7 @@ class JobManager:
                 job.detail.update(detail)
         # Durability before visibility (as in _on_done): the born-done
         # record reaches the store before the id is ever handed out.
-        if self._store is not None:
-            self._store.write(self._snapshot(job))
+        self._write(self._snapshot(job))
         with self._lock:
             self._jobs[job_id] = job
             self._cond.notify_all()
@@ -263,8 +272,7 @@ class JobManager:
             else:
                 pending.status = DONE
                 pending.result = future.result()
-        if self._store is not None:
-            self._store.write(self._snapshot(pending))
+        self._write(self._snapshot(pending))
         with self._lock:
             if job.status in (CANCELLED, TIMEOUT):
                 # A cancel/timeout verdict landed while we persisted;
@@ -334,19 +342,9 @@ class JobManager:
         with self._lock:
             job = self._jobs.get(job_id)
         if job is None:
-            record = self._shared_record(job_id)
-            if record is None:
-                raise ValidationError(f"unknown job id {job_id!r}",
-                                      status=404)
-            snapshot = snapshot_from_record(record)
-            if snapshot.get("status") not in _TERMINAL:
-                snapshot["note"] = (
-                    "job is owned by another worker; cancel it there "
-                    "or wait for its verdict"
-                )
-            return snapshot
+            return records.cancel_view(self._shared_record(job_id), "job")
         with self._lock:
-            if job.status in _TERMINAL:
+            if job.status in TERMINAL:
                 return self._snapshot(job)
             # Mark terminal *before* touching the future: _on_done (which
             # Future.cancel() may invoke synchronously on this thread once
@@ -371,13 +369,31 @@ class JobManager:
         self._metrics.increment("jobs.cancelled")
         return snapshot
 
-    def _shared_record(self, job_id: str) -> Optional[dict]:
-        """Look a locally-unknown job up in the shared store."""
-        if self._store is None:
-            return None
-        record = self._store.load(job_id)
+    def _shared_record(self, job_id: str) -> dict:
+        """Look a locally-unknown job up in the shared store (404 if absent).
+
+        A non-terminal record whose owner process is dead is rewritten
+        in place as a retryable failure before it is returned: the
+        worker took the in-flight job down with it, and every later
+        reader (on any worker) must see that verdict rather than an
+        eternally ``running`` ghost.
+        """
+        key = self._record_key(job_id)
+        record = (
+            records.read(self._disk, key, "job_id")
+            if self._disk is not None else None
+        )
         if record is None:
-            return None
+            raise ValidationError(f"unknown job id {job_id!r}", status=404)
+        if records.orphaned(record):
+            record["status"] = FAILED
+            record["error"] = (
+                f"worker (pid {record['owner_pid']}) died with the job "
+                f"in flight"
+            )
+            record["retryable"] = True
+            record["finished_at"] = time.time()
+            records.write(self._disk, key, record)
         self._metrics.increment("jobs.store_serves")
         return record
 
@@ -397,11 +413,7 @@ class JobManager:
         # shared store serves completed work from any process — the
         # durability contract — and flips orphaned in-flight records to
         # failed/retryable on read.
-        record = self._shared_record(job_id)
-        if record is None:
-            raise ValidationError(f"unknown job id {job_id!r}",
-                                  status=404)
-        return snapshot_from_record(record)
+        return records.client_view(self._shared_record(job_id))
 
     def wait_for(self, job_id: str, seconds: float) -> dict:
         """Block until the job is terminal or ``seconds`` elapse.
@@ -411,7 +423,8 @@ class JobManager:
         Returns the job's snapshot either way — the caller checks
         ``status`` to tell a finished job from an expired wait.  A job
         owned by another worker is long-polled against the shared store
-        (re-read every 0.25 s) instead of the local condition variable.
+        (:func:`repro.perf.records.long_poll`) instead of the local
+        condition variable.
         """
         deadline = time.monotonic() + max(0.0, seconds)
         with self._cond:
@@ -423,7 +436,7 @@ class JobManager:
                         and job.future.running():
                     job.status = RUNNING
                     job.started_at = time.time()
-                if job.status in _TERMINAL:
+                if job.status in TERMINAL:
                     return self._snapshot(job)
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
@@ -432,15 +445,10 @@ class JobManager:
                 # RUNNING refresh above still happens while blocked.
                 self._cond.wait(min(remaining, 0.25))
         # Remote job: poll the shared store until terminal or expired.
-        while True:
-            record = self._shared_record(job_id)
-            if record is None:
-                raise ValidationError(f"unknown job id {job_id!r}",
-                                      status=404)
-            remaining = deadline - time.monotonic()
-            if record.get("status") in _TERMINAL or remaining <= 0:
-                return snapshot_from_record(record)
-            time.sleep(min(remaining, 0.25))
+        return records.long_poll(
+            lambda: records.client_view(self._shared_record(job_id)),
+            deadline,
+        )
 
     def _snapshot(self, job: _Job) -> dict:
         payload = {
@@ -470,7 +478,7 @@ class JobManager:
         cancelled = drained = 0
         for job in jobs:
             with self._lock:
-                if job.status in _TERMINAL:
+                if job.status in TERMINAL:
                     continue
                 future = job.future
             if future is not None and future.cancel():
@@ -485,7 +493,7 @@ class JobManager:
             with self._lock:
                 future = job.future
                 status = job.status
-            if status in _TERMINAL or future is None:
+            if status in TERMINAL or future is None:
                 continue
             remaining = deadline - time.time()
             try:
@@ -493,7 +501,7 @@ class JobManager:
                 drained += 1
             except Exception:
                 with self._lock:
-                    if job.status not in _TERMINAL:
+                    if job.status not in TERMINAL:
                         job.status = CANCELLED
                         job.finished_at = time.time()
                         self._cond.notify_all()

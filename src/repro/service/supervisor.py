@@ -23,8 +23,8 @@ The supervisor itself serves nothing.  It sits in ``waitpid``:
   requests, persist job records, publish final metrics) before the
   supervisor reaps them all and exits 0.
 
-Durability across worker death is the job store's department
-(:mod:`repro.service.jobstore`): every worker shares one cache
+Durability across worker death is the shared records' department
+(:mod:`repro.perf.records`): every worker shares one cache
 directory, so a restarted worker answers polls for work its dead
 predecessor finished.
 """

@@ -16,8 +16,8 @@ from repro.campaign.spec import (
     OptimizeBlock,
     SweepBlock,
 )
-from repro.campaign.store import CampaignStore
 from repro.cache.assignment import knobs
+from repro.perf.disk_cache import DiskCache
 from repro.perf.profile_store import get_store
 
 CALIBRATION = CampaignCalibration(n_accesses=5_000, seed=1)
@@ -189,12 +189,12 @@ class TestGrouping:
 
 class TestReuse:
     def test_checkpointed_units_are_born_done(self, tmp_path):
-        store = CampaignStore(str(tmp_path))
-        first = build_plan(spec(sweeps=(sweep(),)), store=store)
+        store = DiskCache("campaigns", directory=str(tmp_path))
+        first = build_plan(spec(sweeps=(sweep(),)), cache_dir=str(tmp_path))
         unit = first.units[0]
         assert not first.reused
         store.store(unit.fingerprint, {"cache": "L1-16K", "components": {}})
-        second = build_plan(spec(sweeps=(sweep(),)), store=store)
+        second = build_plan(spec(sweeps=(sweep(),)), cache_dir=str(tmp_path))
         assert second.reused == {
             unit.unit_id: {"cache": "L1-16K", "components": {}}
         }

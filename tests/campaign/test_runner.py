@@ -25,7 +25,7 @@ from repro.campaign.spec import (
     OptimizeBlock,
     SweepBlock,
 )
-from repro.campaign.store import CampaignStore
+from repro.perf.disk_cache import DiskCache
 from repro.procutil import proc_start_ticks
 
 CALIBRATION = CampaignCalibration(n_accesses=5_000, seed=1)
@@ -282,7 +282,7 @@ class TestCancellation:
         # Outstanding optimize jobs were cancelled on the job manager.
         assert jobs.cancelled
         # Checkpoints of finished units are still on disk.
-        store = CampaignStore(str(tmp_path))
+        store = DiskCache("campaigns", directory=str(tmp_path))
         plan = build_plan(spec, cache_dir=str(tmp_path))
         done_points = [u for u in plan.units if u.kind == "point"]
         assert all(
@@ -377,11 +377,12 @@ class TestRecovery:
         # kill -9'd mid-run: a real dead pid, status still running.
         corpse = subprocess.Popen([sys.executable, "-c", "pass"])
         corpse.wait()
-        store = CampaignStore(str(tmp_path))
-        record = store.load_state(campaign_id)
+        store = DiskCache("campaigns", directory=str(tmp_path))
+        key = f"campaign-state:{campaign_id}"
+        record = store.load(key)
         assert record is not None and record["status"] == "running"
         record["owner_pid"] = corpse.pid
-        store.store_state(campaign_id, record)
+        store.store(key, record)
 
         survivor = manager(InlineJobs(), tmp_path,
                            spec_parser=self._parser(spec))
@@ -445,15 +446,16 @@ class TestRecovery:
         )["campaign_id"]
         wait_until(lambda: jobs.pending)
 
-        store = CampaignStore(str(tmp_path))
+        store = DiskCache("campaigns", directory=str(tmp_path))
+        key = f"campaign-state:{campaign_id}"
 
         def _repaint_owner():
-            record = store.load_state(campaign_id)
+            record = store.load(key)
             record["owner_pid"] = 1  # alive, but a different incarnation
             record["owner_start_ticks"] = 123456789
-            store.store_state(campaign_id, record)
+            store.store(key, record)
             time.sleep(0.05)
-            return store.load_state(campaign_id)["owner_pid"] == 1
+            return store.load(key)["owner_pid"] == 1
 
         wait_until(_repaint_owner)
 
@@ -478,18 +480,19 @@ class TestRecovery:
         # The owner's coordinator persists once more right after
         # launching the profile job, so rewrite until the record sticks
         # (with ManualJobs pending it then goes quiet).
-        store = CampaignStore(str(tmp_path))
+        store = DiskCache("campaigns", directory=str(tmp_path))
+        key = f"campaign-state:{campaign_id}"
 
         def _repaint_owner():
-            record = store.load_state(campaign_id)
+            record = store.load(key)
             record["owner_pid"] = 1
             # Liveness now checks the pid *incarnation* too: stamp the
             # record with pid 1's real start ticks so it reads as a
             # live foreign owner rather than a recycled pid.
             record["owner_start_ticks"] = proc_start_ticks(1)
-            store.store_state(campaign_id, record)
+            store.store(key, record)
             time.sleep(0.05)
-            return store.load_state(campaign_id)["owner_pid"] == 1
+            return store.load(key)["owner_pid"] == 1
 
         wait_until(_repaint_owner)
 

@@ -1,8 +1,9 @@
-"""JobStore unit tests: orphan detection and pid-recycling defense.
+"""Shared job-record tests: orphan detection and pid-recycling defense.
 
 The subprocess end (real ``kill -9`` against a forked deployment) lives
 in ``test_multiworker.py``; here the record-level liveness verdicts are
-pinned deterministically by crafting owner stamps.
+pinned deterministically by crafting owner stamps and reading the
+records back through a :class:`JobManager` that does not own them.
 """
 
 from __future__ import annotations
@@ -11,8 +12,10 @@ import os
 import subprocess
 import sys
 
+from repro.perf import records
+from repro.perf.disk_cache import DiskCache
 from repro.procutil import owner_alive, pid_alive, proc_start_ticks
-from repro.service.jobstore import JobStore, snapshot_from_record
+from repro.service.jobs import JobManager
 
 
 def _dead_pid() -> int:
@@ -45,29 +48,51 @@ class TestProcutil:
         assert not owner_alive(_dead_pid(), None)
 
 
+class _Store:
+    """Write job records directly; read them through a JobManager."""
+
+    def __init__(self, tmp_path, worker_id="w0", instance=""):
+        self.disk = DiskCache("jobs", directory=str(tmp_path))
+        self.jobs = JobManager(cache_dir=str(tmp_path), worker_id="w-peer")
+        self.worker_id = worker_id
+        self.instance = instance
+
+    def write(self, snapshot):
+        records.write(self.disk, f"job-record:{snapshot['job_id']}",
+                      snapshot, worker=self.worker_id,
+                      instance=self.instance)
+
+    def raw(self, job_id):
+        return records.read(self.disk, f"job-record:{job_id}", "job_id")
+
+    def load(self, job_id):
+        return self.jobs.get(job_id)
+
+
 class TestJobStore:
     def test_roundtrip_stamps_owner(self, tmp_path):
-        store = JobStore(str(tmp_path), worker_id="w0", instance="abc")
+        store = _Store(tmp_path, worker_id="w0", instance="abc")
         store.write({"job_id": "j1", "status": "done", "result": 42})
-        record = store.load("j1")
+        record = store.raw("j1")
         assert record["status"] == "done"
         assert record["result"] == 42
         assert record["owner_pid"] == os.getpid()
         assert record["owner_start_ticks"] == proc_start_ticks(os.getpid())
-        assert store.owned_here(record)
+        assert record["owner_instance"] == "abc"
         # Client-facing snapshots shed the bookkeeping fields.
-        snapshot = snapshot_from_record(record)
+        snapshot = records.client_view(record)
         assert "owner_pid" not in snapshot
         assert "owner_start_ticks" not in snapshot
         assert snapshot["served_by"] == "w0"
+        assert store.load("j1") == snapshot
 
     def test_running_record_of_live_owner_stays_running(self, tmp_path):
-        store = JobStore(str(tmp_path), worker_id="w0")
+        store = _Store(tmp_path)
         store.write({"job_id": "j1", "status": "running"})
         assert store.load("j1")["status"] == "running"
 
     def test_dead_owner_resolves_to_retryable_failure(self, tmp_path):
-        store = JobStore(str(tmp_path), worker_id="w0")
+        store = _Store(tmp_path)
         store.write({
             "job_id": "j1", "status": "running",
             "owner_pid": _dead_pid(),
@@ -77,12 +102,13 @@ class TestJobStore:
         assert record["retryable"] is True
         # The verdict was rewritten in place: every later reader
         # (any worker) sees it without re-judging liveness.
+        assert store.raw("j1")["status"] == "failed"
         assert store.load("j1")["status"] == "failed"
 
     def test_recycled_owner_pid_resolves_to_retryable_failure(self, tmp_path):
         if proc_start_ticks(1) is None:  # no /proc on this host
             return
-        store = JobStore(str(tmp_path), worker_id="w0")
+        store = _Store(tmp_path)
         # pid 1 is alive, but the stamp belongs to a dead incarnation:
         # without the start-ticks check this job would stay 'running'
         # forever behind the squatting process.
@@ -95,7 +121,7 @@ class TestJobStore:
         assert record["retryable"] is True
 
     def test_terminal_records_never_rejudged(self, tmp_path):
-        store = JobStore(str(tmp_path), worker_id="w0")
+        store = _Store(tmp_path)
         store.write({
             "job_id": "j1", "status": "done", "result": 7,
             "owner_pid": _dead_pid(),
