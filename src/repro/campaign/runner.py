@@ -567,18 +567,22 @@ class CampaignManager:
     def _state_key(campaign_id: str) -> str:
         return f"campaign-state:{campaign_id}"
 
-    def _persist_state(self, campaign: _Campaign) -> None:
+    def _persist_state(self, campaign: _Campaign, verdict=None) -> None:
         """Write this campaign's shared state record (best-effort).
 
         The snapshot and the disk write are one serialised unit: two
         racing persisters (the coordinator's progress checkpoint and a
         cancel/shutdown verdict) must commit in snapshot order, or the
         stale snapshot would win the disk and e.g. report a cancelled
-        campaign as ``running`` forever.
+        campaign as ``running`` forever.  ``verdict`` (status,
+        finished_at) is written in place of a still-running status, so
+        :meth:`_conclude` can persist a verdict before it turns visible.
         """
         with self._persist_lock:
             with self._lock:
                 record = self._snapshot(campaign, include_results=False)
+                if verdict is not None and campaign.status not in TERMINAL:
+                    record["status"], record["finished_at"] = verdict
                 record["spec_body"] = campaign.spec_body
                 if campaign.cancel_source is not None:
                     record["cancelled_by"] = campaign.cancel_source
@@ -766,6 +770,7 @@ class CampaignManager:
                 campaign.status = CANCELLED
                 campaign.cancel_source = "shutdown"
                 campaign.finished_at = time.time()
+                campaign.jobs.clear()  # they drain with the job manager
             self._cond.notify_all()
         deadline = time.monotonic() + wait_seconds
         for campaign in active:
@@ -790,7 +795,6 @@ class CampaignManager:
                 progressed = self._collect(campaign)
                 progressed = self._launch(campaign) or progressed
                 if self._finalize_if_complete(campaign):
-                    self._persist_state(campaign)
                     return
                 if progressed:
                     # Progress checkpoints make the shared record a live
@@ -799,16 +803,13 @@ class CampaignManager:
                 else:
                     time.sleep(self._poll_interval)
         except Exception as error:  # noqa: BLE001 - coordinator must not die
-            with self._cond:
+            with self._lock:
                 if campaign.status not in TERMINAL:
-                    campaign.status = FAILED
-                    campaign.finished_at = time.time()
                     campaign.errors["coordinator"] = (
                         f"{type(error).__name__}: {error}"
                     )
-                    self._cond.notify_all()
-            self._persist_state(campaign)
-            self._metrics.increment("campaigns.failed")
+            if self._conclude(campaign, FAILED):
+                self._metrics.increment("campaigns.failed")
 
     def _targets(self, campaign: _Campaign, target: str) -> List[Unit]:
         """The units a job target id (unit or group id) covers."""
@@ -1027,7 +1028,7 @@ class CampaignManager:
         self._metrics.increment("campaigns.units_done")
 
     def _finalize_if_complete(self, campaign: _Campaign) -> bool:
-        with self._cond:
+        with self._lock:
             if campaign.status in TERMINAL:
                 return True
             statuses = campaign.unit_status.values()
@@ -1036,13 +1037,29 @@ class CampaignManager:
             ):
                 return False
             failed = any(s == UNIT_FAILED for s in statuses)
-            campaign.status = FAILED if failed else DONE
-            campaign.finished_at = time.time()
+        verdict = FAILED if failed else DONE
+        if self._conclude(campaign, verdict):
+            self._metrics.increment(
+                "campaigns.failed" if verdict == FAILED
+                else "campaigns.completed"
+            )
+        return True
+
+    def _conclude(self, campaign: _Campaign, verdict: str) -> bool:
+        """Persist ``verdict`` (done or failed), then make it visible.
+
+        A client that :meth:`wait` wakes finds the verdict in the shared
+        record too, as it does for jobs.  Returns ``False`` if a cancel
+        or a drain got there first (its own record then wins the disk).
+        """
+        finished_at = time.time()
+        self._persist_state(campaign, verdict=(verdict, finished_at))
+        with self._cond:
+            if campaign.status in TERMINAL:
+                return False
+            campaign.status = verdict
+            campaign.finished_at = finished_at
             self._cond.notify_all()
-            verdict = campaign.status
-        self._metrics.increment(
-            "campaigns.failed" if verdict == FAILED else "campaigns.completed"
-        )
         return True
 
     # -- snapshots ---------------------------------------------------------

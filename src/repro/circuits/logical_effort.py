@@ -190,6 +190,10 @@ def _size_column(
     stage_loads = []
     i_gate_total = 0.0
     c_switched = 0.0
+    if gate_enabled:
+        # gate_tunnel_current's products, in its order, on one density
+        # per column (gate_capacitance has checked the geometry).
+        density = _gate.gate_current_density(technology, technology.vdd, tox)
     for index, sizing in enumerate(inverters):
         c_self = _delay.junction_capacitance(technology, sizing.total_width)
         c_load = c_ins[index + 1] if index + 1 < n_stages else load_capacitance
@@ -198,18 +202,12 @@ def _size_column(
             # The conducting device tunnels over its full area; the off
             # device contributes only edge tunnelling.  Average over the
             # two input states.
-            i_g_on_p = _gate.gate_tunnel_current(
-                technology, sizing.wp, lgate, tox, conducting=True, p_type=True
-            )
-            i_g_on_n = _gate.gate_tunnel_current(
-                technology, sizing.wn, lgate, tox, conducting=True
-            )
-            i_g_off_p = _gate.gate_tunnel_current(
-                technology, sizing.wp, lgate, tox, conducting=False, p_type=True
-            )
-            i_g_off_n = _gate.gate_tunnel_current(
-                technology, sizing.wn, lgate, tox, conducting=False
-            )
+            area_p = density * sizing.wp * lgate
+            area_n = density * sizing.wn * lgate
+            i_g_on_p = area_p * _gate.PMOS_TUNNEL_RATIO
+            i_g_on_n = area_n
+            i_g_off_p = area_p * _gate.EDT_FRACTION * _gate.PMOS_TUNNEL_RATIO
+            i_g_off_n = area_n * _gate.EDT_FRACTION
             i_gate_total += 0.5 * ((i_g_on_n + i_g_off_p) + (i_g_on_p + i_g_off_n))
         c_switched += c_ins[index] + c_self
     return _ColumnSizing(

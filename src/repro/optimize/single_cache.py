@@ -14,9 +14,10 @@ per-component evaluation tables:
 * Scheme II scans (cell point) x (periphery point) pairs;
 * Scheme I first prunes each component's candidates to its own
   (delay, leakage) Pareto front — a dominated component choice can never
-  appear in any optimum of an additive objective/constraint — then
-  enumerates the pruned product with vectorised sums.  This is exact, not
-  heuristic.
+  appear in any optimum of an additive objective/constraint — then finds
+  the optimum on a staged front of partial sums and its tie-break by a
+  bounded pass over the pruned product, which it never materialises.
+  This is exact, not heuristic.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from repro.cache.assignment import (
     Knobs,
     PERIPHERAL_COMPONENTS,
 )
-from repro.optimize.pareto import pareto_indices
+from repro.optimize.pareto import pareto_indices, pareto_indices_2d
 from repro.optimize.schemes import Scheme
 from repro.optimize.space import DesignSpace, default_space
 
@@ -141,8 +142,8 @@ def component_tables(
 class _LazyAssignments:
     """List-like view materialising Assignments only on indexing.
 
-    Scheme I's candidate product can run to millions of entries; building
-    an Assignment object per entry would dominate runtime, and the
+    Scheme II's candidate product runs to ~10^4 entries; building an
+    Assignment object per entry would dominate runtime, and the
     optimisers only ever look at a handful of winners.
     """
 
@@ -196,44 +197,9 @@ def _candidate_matrix_scheme2(
     return assignments, delay_grid.ravel(), leak_grid.ravel()
 
 
-def _candidate_matrix_scheme1(
-    tables: Dict[str, _ComponentTable]
-) -> Tuple[_LazyAssignments, np.ndarray, np.ndarray]:
-    pruned = {name: tables[name].pruned() for name in COMPONENT_NAMES}
-    a, d, r, o = (pruned[name] for name in COMPONENT_NAMES)
-    delay_grid = (
-        a.delays[:, None, None, None]
-        + d.delays[None, :, None, None]
-        + r.delays[None, None, :, None]
-        + o.delays[None, None, None, :]
-    )
-    leak_grid = (
-        a.leakages[:, None, None, None]
-        + d.leakages[None, :, None, None]
-        + r.leakages[None, None, :, None]
-        + o.leakages[None, None, None, :]
-    )
-
-    def build(pa: Knobs, pd: Knobs, pr: Knobs, po: Knobs) -> Assignment:
-        return Assignment.from_mapping(
-            {
-                COMPONENT_NAMES[0]: pa,
-                COMPONENT_NAMES[1]: pd,
-                COMPONENT_NAMES[2]: pr,
-                COMPONENT_NAMES[3]: po,
-            }
-        )
-
-    assignments = _LazyAssignments(
-        (a.points, d.points, r.points, o.points), build
-    )
-    return assignments, delay_grid.ravel(), leak_grid.ravel()
-
-
 _SCHEME_BUILDERS = {
     Scheme.UNIFORM: _candidate_matrix_scheme3,
     Scheme.CELL_VS_PERIPHERY: _candidate_matrix_scheme2,
-    Scheme.PER_COMPONENT: _candidate_matrix_scheme1,
 }
 
 
@@ -243,14 +209,77 @@ def enumerate_candidates(
     space: Optional[DesignSpace] = None,
     tables: Optional[Dict[str, _ComponentTable]] = None,
 ) -> Tuple[_LazyAssignments, np.ndarray, np.ndarray]:
-    """Return (assignments, total delays, total leakages) for a scheme."""
+    """Return (assignments, total delays, total leakages) for Scheme II/III.
+
+    Scheme I's four-table product is never materialised.
+    """
     if tables is None:
         tables = component_tables(model, space)
     try:
         builder = _SCHEME_BUILDERS[scheme]
     except KeyError:
-        raise OptimizationError(f"unknown scheme {scheme!r}")
+        raise OptimizationError(
+            f"no candidate list for scheme {scheme!r} (Scheme I: use "
+            "minimize_leakage or leakage_delay_frontier)"
+        )
     return builder(tables)
+
+
+def _staged_front(
+    tables: Dict[str, _ComponentTable], prune_last: bool
+) -> Tuple[Tuple[_ComponentTable, ...], np.ndarray, np.ndarray]:
+    """Scheme I phase 1: (pruned tables, staged-front delays, leakages).
+
+    Adds the pruned tables in ``((a+d)+r)+o`` order, keeping the 2-D
+    front after each add (after the last too if ``prune_last``).  IEEE
+    addition is monotone in each operand, so this holds the product's
+    exact least delay, least leakage under any delay bound and, pruned,
+    its exact front values (docs/PERFORMANCE.md, "Scheme I search").
+    """
+    components = tuple(tables[name].pruned() for name in COMPONENT_NAMES)
+    delays, leakages = components[0].delays, components[0].leakages
+    for stage, table in enumerate(components[1:], start=2):
+        delays = (delays[:, None] + table.delays).ravel()
+        leakages = (leakages[:, None] + table.leakages).ravel()
+        if prune_last or stage < len(components):
+            keep = pareto_indices_2d(np.column_stack([delays, leakages]))
+            delays, leakages = delays[keep], leakages[keep]
+    return components, delays, leakages
+
+
+def _first_attaining(
+    components: Tuple[_ComponentTable, ...], max_delay: float, leakage: float
+) -> Tuple[Assignment, float]:
+    """Scheme I phase 2: the smallest flat index meeting ``max_delay``
+    with ``leakage``, the least leakage there; returns (its assignment,
+    its delay).
+
+    Prefixes grow in flat-index order ``flat * n_k + j`` and are kept
+    while their lower bound (each later table's minimum added in the
+    same order, so rounding cannot break it) meets both limits.
+    """
+    flat = np.zeros(1, dtype=np.intp)
+    delays = leakages = np.zeros(1)  # 0.0 + x == x: the oracle's sums
+    for level, table in enumerate(components):
+        size = len(table.delays)
+        flat = (flat[:, None] * size + np.arange(size)).ravel()
+        delays = (delays[:, None] + table.delays).ravel()
+        leakages = (leakages[:, None] + table.leakages).ravel()
+        bound_delays, bound_leakages = delays, leakages
+        for later in components[level + 1:]:
+            bound_delays = bound_delays + later.delays.min()
+            bound_leakages = bound_leakages + later.leakages.min()
+        keep = (bound_delays <= max_delay) & (bound_leakages <= leakage)
+        flat, delays, leakages = flat[keep], delays[keep], leakages[keep]
+    coordinates = np.unravel_index(
+        flat[0], tuple(len(table.points) for table in components)
+    )
+    return Assignment.from_mapping(
+        {
+            table.name: table.points[coordinate]
+            for table, coordinate in zip(components, coordinates)
+        }
+    ), float(delays[0])
 
 
 def minimize_leakage(
@@ -262,12 +291,20 @@ def minimize_leakage(
 ) -> SingleCacheResult:
     """Minimise cache leakage subject to ``access_time <= max_access_time``.
 
+    Returns the feasible candidate of least leakage and, among equal
+    leakages, of smallest flat index (Scheme I: in the pruned product).
     Raises :class:`InfeasibleConstraintError` (carrying the fastest
     achievable access time) if no grid point meets the constraint.
     """
-    assignments, delays, leakages = enumerate_candidates(
-        model, scheme, space, tables
-    )
+    if tables is None:
+        tables = component_tables(model, space)
+    per_component = scheme == Scheme.PER_COMPONENT
+    if per_component:
+        components, delays, leakages = _staged_front(tables, prune_last=False)
+    else:
+        assignments, delays, leakages = enumerate_candidates(
+            model, scheme, space, tables
+        )
     feasible = delays <= max_access_time
     if not np.any(feasible):
         raise InfeasibleConstraintError(
@@ -275,13 +312,20 @@ def minimize_leakage(
             f"T <= {max_access_time:.3e} s (fastest is {delays.min():.3e} s)",
             best_achievable=float(delays.min()),
         )
-    masked = np.where(feasible, leakages, np.inf)
-    best = int(np.argmin(masked))
+    if per_component:
+        leakage = float(leakages[feasible].min())
+        assignment, access_time = _first_attaining(
+            components, max_access_time, leakage
+        )
+    else:
+        best = int(np.argmin(np.where(feasible, leakages, np.inf)))
+        assignment = assignments[best]
+        access_time, leakage = float(delays[best]), float(leakages[best])
     return SingleCacheResult(
         scheme=scheme,
-        assignment=assignments[best],
-        access_time=float(delays[best]),
-        leakage_power=float(leakages[best]),
+        assignment=assignment,
+        access_time=access_time,
+        leakage_power=leakage,
         delay_constraint=max_access_time,
     )
 
@@ -295,8 +339,21 @@ def leakage_delay_frontier(
     """Return the scheme's full (delay, leakage) Pareto front, ascending.
 
     This is the curve the Section 4 scheme comparison plots: for every
-    achievable delay, the least leakage the scheme can offer.
+    achievable delay, the least leakage the scheme can offer.  Each
+    point's assignment is the smallest flat index holding it.  Scheme I
+    runs one phase-2 pass per point (~90 ms for the 496 points of the
+    65 nm 16 KB L1, 2-core host); only tests call this, and nothing
+    rests on its speed.
     """
+    if tables is None:
+        tables = component_tables(model, space)
+    if scheme == Scheme.PER_COMPONENT:
+        components, delays, leakages = _staged_front(tables, prune_last=True)
+        order = np.argsort(delays, kind="stable")
+        return delays[order], leakages[order], [
+            _first_attaining(components, delays[i], leakages[i])[0]
+            for i in order
+        ]
     assignments, delays, leakages = enumerate_candidates(
         model, scheme, space, tables
     )

@@ -8,6 +8,7 @@ deterministically without a process pool.
 from __future__ import annotations
 
 import json
+import sys
 import time
 
 import pytest
@@ -316,6 +317,46 @@ class TestCancellation:
         assert final["status"] == "done"
         assert final["units"]["done"] == final["units"]["total"]
         m.shutdown()
+
+    def test_drained_record_keeps_no_child_jobs(self, tmp_path):
+        jobs = ManualJobs()
+        m = manager(jobs, tmp_path)
+        campaign_id = m.submit(
+            make_spec(matrix=MATRIX, optimize=OPTIMIZE)
+        )["campaign_id"]
+        wait_until(lambda: jobs.pending)
+        jobs.finish(next(iter(jobs.pending)))
+        wait_until(lambda: m.get(campaign_id)["jobs"])
+        m.shutdown()
+        record = DiskCache("campaigns", directory=str(tmp_path)).load(
+            f"campaign-state:{campaign_id}"
+        )
+        assert record["status"] == "cancelled"
+        assert record["cancelled_by"] == "shutdown"
+        assert record["jobs"] == []
+
+    def test_cancel_racing_the_verdict_agrees_with_disk(self, tmp_path):
+        """Whichever of cancel and verdict wins, the record agrees."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            m = manager(InlineJobs(), tmp_path)
+            store = DiskCache("campaigns", directory=str(tmp_path))
+            seen = set()
+            for index in range(16):
+                campaign_id = m.submit(
+                    make_spec(name=f"race-{index}", matrix=MATRIX)
+                )["campaign_id"]
+                time.sleep(0.002 * (index % 4))
+                status = m.cancel(campaign_id)["status"]
+                seen.add(status)
+                record = store.load(f"campaign-state:{campaign_id}")
+                assert record["status"] == status
+                assert m.get(campaign_id)["status"] == status
+            m.shutdown()
+        finally:
+            sys.setswitchinterval(interval)
+        assert seen <= {"done", "cancelled"}
 
     def test_cancel_unknown_campaign_404(self, tmp_path):
         from repro.errors import ValidationError

@@ -36,13 +36,15 @@ class TestSchemeEnumeration:
         )
         assert len(assignments) == len(delays) == 81
 
-    def test_scheme1_candidates_pruned(self, tiny_cache, tiny_space, tables):
-        assignments, delays, leaks = enumerate_candidates(
-            tiny_cache, Scheme.PER_COMPONENT, tiny_space, tables
-        )
-        # Pruning keeps at most the full product.
-        assert len(assignments) <= 9**4
-        assert len(assignments) == len(delays) == len(leaks)
+    def test_scheme1_has_no_candidate_list(
+        self, tiny_cache, tiny_space, tables
+    ):
+        # Scheme I's full product lives only in the test oracle
+        # (test_scheme1_oracle.py).
+        with pytest.raises(OptimizationError, match="minimize_leakage"):
+            enumerate_candidates(
+                tiny_cache, Scheme.PER_COMPONENT, tiny_space, tables
+            )
 
     def test_lazy_assignments_materialise_correctly(
         self, tiny_cache, tiny_space, tables

@@ -173,9 +173,8 @@ class TestCampaignFaults:
         with copy_after_each_store(root, "campaigns", out) as copies:
             campaign_id = m.submit(self.SPEC, spec_body=BODY)["campaign_id"]
             final = m.wait(campaign_id, 30.0)
-            # The coordinator persists the verdict just after it turns
-            # visible locally; let that last write land in the copies.
-            wait_until(lambda: _disk_status(root, campaign_id) == "done")
+            # The verdict is on disk before ``wait`` can see it.
+            assert _disk_status(root, campaign_id) == "done"
         m.shutdown()
         assert final["status"] == "done"
         return campaign_id, final, copies
@@ -303,9 +302,6 @@ class TestWriteCounts:
         with count_stores(tmp_path) as counts:
             campaign_id = m.submit(make_spec(matrix=MATRIX))["campaign_id"]
             assert m.wait(campaign_id, 30.0)["status"] == "done"
-            wait_until(
-                lambda: _disk_status(tmp_path, campaign_id) == "done"
-            )
         m.shutdown()
         # State records: submit, one progress checkpoint, the verdict;
         # plus one checkpoint per unit (profile + 3 points).

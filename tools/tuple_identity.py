@@ -1,5 +1,5 @@
-"""Exactness check for the component tables, the Figure 2 tuple problem
-and the joint optimiser.
+"""Exactness check for the component tables, the Section 4 schemes, the
+Figure 2 tuple problem and the joint optimiser.
 
 Write the reference outputs of one source tree, then compare two trees:
 
@@ -7,13 +7,19 @@ Write the reference outputs of one source tree, then compare two trees:
     PYTHONPATH=<tree-b>/src python tools/tuple_identity.py --out b.npz
     python tools/tuple_identity.py --compare a.npz b.npz
 
-``--out`` records three layers:
+``--out`` records four layers:
 
 * the component tables: ``component_tables(model, space,
   use_cache=False)`` delays, leakages and energies of every component
   of Figure 2's 16 KB L1 and 1 MB L2 at every E9 (node, scaling style)
   pair, on the node's ``default_space`` and ``fast_space``, plus the
   65 nm models with the stack effect off and with gate tunnelling off;
+* the schemes: ``minimize_leakage`` for Schemes I, II and III on both
+  caches at every E9 pair (``default_space``), at each slack of
+  :data:`SLACKS` over the fastest uniform design — the assignment's
+  eight knob values, the access time and the leakage, or
+  ``best_achievable`` alone if infeasible — plus the Scheme I
+  ``leakage_delay_frontier`` of the 65 nm L1 with every point's knobs;
 * the tuple problem on E9's grid (both caches on the node's
   ``fast_space``, the five Figure 2 budgets: 70 (AMAT, energy) curves);
 * ``repr(optimize_memory_system(spec2000, 1500 ps))``, the joint
@@ -21,9 +27,9 @@ Write the reference outputs of one source tree, then compare two trees:
 
 ``--compare`` exits 1 unless both files hold the same keys and every
 array is ``np.array_equal``.  Any change to the device, circuit or
-component models, ``repro.optimize.pareto`` or
-``repro.optimize.tuple_problem`` must pass it against the parent tree
-(about 6 s per tree).
+component models, ``repro.optimize.pareto``,
+``repro.optimize.single_cache`` or ``repro.optimize.tuple_problem``
+must pass it against the parent tree (5–12 s per tree).
 """
 
 from __future__ import annotations
@@ -38,6 +44,12 @@ import numpy as np
 JOINT_KEY = "joint_spec2000_1500ps"
 #: Prefix of the component-table keys.
 TABLE_PREFIX = "table/"
+#: Prefix of the single-cache solve keys (one array per solve).
+SOLVE_PREFIX = "scheme/solve/"
+#: Prefix of the Scheme I frontier keys.
+FRONTIER_PREFIX = "scheme/frontier/"
+#: Access-time slacks over the fastest uniform design.
+SLACKS = (0.0, 0.01, 0.05, 0.2, 0.5, 1.0, 100.0)
 
 
 def _tables(out: Dict[str, np.ndarray], label: str, l1, l2,
@@ -59,6 +71,45 @@ def _tables(out: Dict[str, np.ndarray], label: str, l1, l2,
                 out[key + "e"] = table.energies
 
 
+def _knobs(assignment) -> list:
+    return [value for _, point in assignment.components() for value in point]
+
+
+def _schemes(out: Dict[str, np.ndarray], label: str, l1, l2) -> None:
+    """Record every scheme's optimum on both caches over the slacks."""
+    from repro.errors import InfeasibleConstraintError
+    from repro.optimize.schemes import Scheme
+    from repro.optimize.single_cache import component_tables, minimize_leakage
+
+    for cache, model in (("l1", l1), ("l2", l2)):
+        tables = component_tables(model)
+        fastest = float(sum(table.delays for table in tables.values()).min())
+        for scheme in Scheme:
+            for slack in SLACKS:
+                key = f"{SOLVE_PREFIX}{label}/{cache}/{scheme.value}/{slack}"
+                target = fastest * (1.0 + slack)
+                try:
+                    result = minimize_leakage(model, scheme, target,
+                                              tables=tables)
+                except InfeasibleConstraintError as error:
+                    out[key] = np.array([error.best_achievable])
+                    continue
+                out[key] = np.array(_knobs(result.assignment) + [
+                    result.access_time, result.leakage_power])
+
+
+def _frontier(out: Dict[str, np.ndarray], l1) -> None:
+    """Record the Scheme I (delay, leakage) front of one cache."""
+    from repro.optimize.schemes import Scheme
+    from repro.optimize.single_cache import leakage_delay_frontier
+
+    delays, leakages, assignments = leakage_delay_frontier(
+        l1, Scheme.PER_COMPONENT)
+    key = f"{FRONTIER_PREFIX}65itrs/l1/"
+    out[key + "d"], out[key + "l"] = delays, leakages
+    out[key + "knobs"] = np.array([_knobs(a) for a in assignments])
+
+
 def collect() -> Dict[str, np.ndarray]:
     """Solve the checked problems; returns key -> array."""
     from repro import units
@@ -75,11 +126,12 @@ def collect() -> Dict[str, np.ndarray]:
     for style in SCALING_STYLES:
         for node in NODES:
             technology = node_technology(node, style)
-            _tables(out, f"{node}{style}",
-                    CacheModel(l1_config(16), technology=technology),
-                    CacheModel(l2_config(1024), technology=technology),
-                    technology)
+            l1 = CacheModel(l1_config(16), technology=technology)
+            l2 = CacheModel(l2_config(1024), technology=technology)
+            _tables(out, f"{node}{style}", l1, l2, technology)
+            _schemes(out, f"{node}{style}", l1, l2)
     technology = node_technology(65, "itrs")
+    _frontier(out, CacheModel(l1_config(16), technology=technology))
     for label, switch in (("nostack", "stack_enabled"),
                           ("nogate", "gate_enabled")):
         _tables(out, f"65{label}",
@@ -114,16 +166,19 @@ def compare(first: str, second: str) -> int:
         problems += [f"differs: {key}" for key in sorted(keys_a & keys_b)
                      if not np.array_equal(a[key], b[key])]
         common = keys_a & keys_b
-        n_tables = sum(key.startswith(TABLE_PREFIX) for key in common) // 3
-        n_curves = (len(common) - 3 * n_tables
-                    - (JOINT_KEY in common)) // 2
+    counts = {prefix: sum(key.startswith(prefix) for key in common)
+              for prefix in (TABLE_PREFIX, SOLVE_PREFIX, FRONTIER_PREFIX)}
+    n_curves = (len(common) - sum(counts.values())
+                - (JOINT_KEY in common)) // 2
     for line in problems:
         print(line)
     if problems:
         print(f"FAIL: {len(problems)} difference(s)")
         return 1
-    print(f"identical: {n_tables} component tables, {n_curves} curves "
-          "and the joint design")
+    print(f"identical: {counts[TABLE_PREFIX] // 3} component tables, "
+          f"{counts[SOLVE_PREFIX]} scheme solves, "
+          f"{counts[FRONTIER_PREFIX] // 3} Scheme I frontier, "
+          f"{n_curves} curves and the joint design")
     return 0
 
 
