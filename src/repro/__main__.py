@@ -24,16 +24,12 @@ from typing import List, Optional
 
 from repro import units
 from repro.cache.cache_model import CacheModel
-from repro.cache.config import CacheConfig
+from repro.cache.config import CacheConfig, kib_to_bytes
 from repro.cache.assignment import knobs
 from repro.errors import ReproError
-from repro.optimize.schemes import Scheme
+from repro.optimize.schemes import SCHEME_CODES
 from repro.optimize.single_cache import minimize_leakage
 from repro.technology.nodes import NODES, SCALING_STYLES, node_technology
-
-_SCHEMES = {"1": Scheme.PER_COMPONENT, "2": Scheme.CELL_VS_PERIPHERY,
-            "3": Scheme.UNIFORM}
-
 
 def _add_cache_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--size-kb", type=float, default=16.0,
@@ -53,7 +49,7 @@ def _add_cache_arguments(parser: argparse.ArgumentParser) -> None:
 
 def _build_model(arguments) -> CacheModel:
     config = CacheConfig(
-        size_bytes=int(arguments.size_kb * 1024),
+        size_bytes=kib_to_bytes(arguments.size_kb),
         block_bytes=arguments.block_bytes,
         associativity=arguments.associativity,
         name=f"cache-{arguments.size_kb:g}K",
@@ -123,7 +119,7 @@ def _cmd_evaluate(arguments) -> int:
 
 def _cmd_optimize(arguments) -> int:
     model = _build_model(arguments)
-    scheme = _SCHEMES[arguments.scheme]
+    scheme = SCHEME_CODES[arguments.scheme]
     result = minimize_leakage(
         model, scheme, units.ps(arguments.target_ps)
     )
@@ -218,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     optimize = commands.add_parser("optimize", help="Section 4 optimiser")
     _add_cache_arguments(optimize)
-    optimize.add_argument("--scheme", choices=sorted(_SCHEMES),
+    optimize.add_argument("--scheme", choices=sorted(SCHEME_CODES),
                           default="2", help="assignment scheme (1/2/3)")
     optimize.add_argument("--target-ps", type=float, default=1200.0,
                           help="access-time constraint in ps")

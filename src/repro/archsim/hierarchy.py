@@ -15,8 +15,7 @@ from typing import Dict, List
 
 import numpy as np
 
-from repro.errors import SimulationError
-from repro.archsim.replacement import make_policy
+from repro.archsim.replacement import check_policy, make_policy
 from repro.archsim.setassoc import SetAssociativeCache, _validate_shape
 from repro.archsim.stats import CacheStats
 from repro.archsim.trace import (
@@ -159,12 +158,7 @@ class ArrayTwoLevelHierarchy:
         policy: str = "lru",
         seed: int = 0,
     ) -> None:
-        if policy not in ("lru", "fifo", "random"):
-            raise SimulationError(
-                f"ArrayTwoLevelHierarchy: unknown replacement policy "
-                f"{policy!r}; expected 'lru', 'fifo' or 'random'"
-            )
-        self.policy = policy
+        self.policy = check_policy(policy)
         self._l1_rng = (
             random.Random(seed) if policy == "random" else None
         )
@@ -393,17 +387,7 @@ def simulate_hierarchy(
     policy: str = "lru",
     seed: int = 0,
 ) -> HierarchyResult:
-    """Run a trace through the fastest hierarchy engine for the policy.
-
-    LRU, FIFO and random traffic take :class:`ArrayTwoLevelHierarchy`;
-    any other policy falls back to the per-record
-    :class:`TwoLevelHierarchy`.
-    """
-    if policy in ("lru", "fifo", "random"):
-        return ArrayTwoLevelHierarchy(
-            l1_config, l2_config, policy, seed
-        ).run(trace)
-    hierarchy = TwoLevelHierarchy(l1_config, l2_config, policy, seed)
-    if isinstance(trace, np.ndarray):
-        trace = as_buffer(trace)
-    return hierarchy.run(trace)
+    """Run a trace through :class:`ArrayTwoLevelHierarchy`."""
+    return ArrayTwoLevelHierarchy(l1_config, l2_config, policy, seed).run(
+        trace
+    )

@@ -55,10 +55,12 @@ import numpy as np
 
 from repro.errors import SimulationError
 from repro.archsim.multiconfig import MultiConfigHierarchyEngine
+from repro.archsim.replacement import check_policy
 from repro.archsim.setdist import _DEPTH_CAP_LIMIT
 from repro.archsim.workloads import (
     STANDARD_WORKLOADS,
     WorkloadSpec,
+    standard_workload,
     synthetic_trace_buffer,
 )
 from repro.cache.config import CacheConfig
@@ -173,10 +175,6 @@ class MissRateModel:
 #: ``l2_assocs``); format 6 added the setdist estimator; format 5 the
 #: replacement policy and canonical fingerprint parts.
 _CALIBRATION_FORMAT = 9
-
-#: Replacement policies the calibration engines support.
-_POLICIES = ("lru", "fifo", "random")
-
 
 def _point_assoc(level: str, assoc: Optional[int]) -> int:
     """Associativity of one grid point (reference shape when unspecified)."""
@@ -559,11 +557,7 @@ def measure_miss_model(
         Only grids covered by the surface (4–64 KB L1, 128 KB–8 MB L2,
         power-of-two assocs up to 16) are eligible.
     """
-    if policy not in _POLICIES:
-        raise SimulationError(
-            f"unknown replacement policy {policy!r}; expected one of "
-            f"{_POLICIES}"
-        )
+    check_policy(policy)
     if profile_store not in ("auto", "always", "off"):
         raise SimulationError(
             f"unknown profile_store mode {profile_store!r}; expected "
@@ -745,6 +739,29 @@ CALIBRATED_TABLES: Dict[str, MissRateModel] = {
 }
 
 
+def blend_shares(weights: Dict[str, float]) -> Dict[str, float]:
+    """Each workload's share of a blend, or :class:`SimulationError`.
+
+    Every name must be a standard workload, every weight finite and
+    non-negative, and the total finite and positive.
+    """
+    if not weights:
+        raise SimulationError("blend needs at least one workload")
+    for name, weight in weights.items():
+        standard_workload(name)
+        if not (math.isfinite(weight) and weight >= 0):
+            raise SimulationError(
+                f"blend weight of {name!r} must be finite and "
+                f"non-negative, got {weight!r}"
+            )
+    total = sum(weights.values())
+    if not (math.isfinite(total) and total > 0):
+        raise SimulationError(
+            f"blend weights must sum to a finite positive value, got {total}"
+        )
+    return {name: weight / total for name, weight in weights.items()}
+
+
 def blended_miss_model(
     weights: Dict[str, float] = None,
     policy: str = "lru",
@@ -764,11 +781,7 @@ def blended_miss_model(
     """
     if weights is None:
         weights = {name: 1.0 for name in STANDARD_WORKLOADS}
-    if not weights:
-        raise SimulationError("blend needs at least one workload")
-    total = sum(weights.values())
-    if total <= 0:
-        raise SimulationError("blend weights must sum to a positive value")
+    shares = blend_shares(weights)
     if surface:
         models = {
             name: calibrated_miss_surface(name, policy, cache_dir=cache_dir)
@@ -783,8 +796,8 @@ def blended_miss_model(
         (
             size,
             sum(
-                weights[name] / total * models[name].l1_miss_rate(size)
-                for name in weights
+                shares[name] * models[name].l1_miss_rate(size)
+                for name in shares
             ),
         )
         for size, _ in reference.l1_curve
@@ -793,8 +806,8 @@ def blended_miss_model(
         (
             size,
             sum(
-                weights[name] / total * models[name].l2_local_miss_rate(size)
-                for name in weights
+                shares[name] * models[name].l2_local_miss_rate(size)
+                for name in shares
             ),
         )
         for size, _ in reference.l2_curve
@@ -806,10 +819,8 @@ def blended_miss_model(
                 (
                     size,
                     sum(
-                        weights[name]
-                        / total
-                        * models[name].l1_miss_rate(size, assoc)
-                        for name in weights
+                        shares[name] * models[name].l1_miss_rate(size, assoc)
+                        for name in shares
                     ),
                 )
                 for size, _ in curve
@@ -824,10 +835,9 @@ def blended_miss_model(
                 (
                     size,
                     sum(
-                        weights[name]
-                        / total
+                        shares[name]
                         * models[name].l2_local_miss_rate(size, assoc)
-                        for name in weights
+                        for name in shares
                     ),
                 )
                 for size, _ in curve
@@ -873,22 +883,14 @@ def calibrated_miss_model(
     if the LRU table has not been populated for that workload (slower,
     but always available).
     """
-    if policy not in _POLICIES:
-        raise SimulationError(
-            f"unknown replacement policy {policy!r}; expected one of "
-            f"{_POLICIES}"
-        )
+    check_policy(policy)
     if policy != "lru":
-        if workload not in STANDARD_WORKLOADS:
-            raise SimulationError(
-                f"unknown workload {workload!r}; expected one of "
-                f"{sorted(STANDARD_WORKLOADS)}"
-            )
+        spec = standard_workload(workload)
         key = (workload, policy)
         model = _POLICY_TABLES.get(key)
         if model is None:
             model = measure_miss_model(
-                STANDARD_WORKLOADS[workload],
+                spec,
                 n_accesses=POLICY_CALIBRATION_ACCESSES,
                 policy=policy,
             )
@@ -896,12 +898,7 @@ def calibrated_miss_model(
         return model
     if workload in CALIBRATED_TABLES:
         return CALIBRATED_TABLES[workload]
-    if workload not in STANDARD_WORKLOADS:
-        raise SimulationError(
-            f"unknown workload {workload!r}; expected one of "
-            f"{sorted(STANDARD_WORKLOADS)}"
-        )
-    model = measure_miss_model(STANDARD_WORKLOADS[workload])
+    model = measure_miss_model(standard_workload(workload))
     CALIBRATED_TABLES[workload] = model
     return model
 
@@ -929,16 +926,8 @@ def calibrated_miss_surface(
     :func:`calibrated_miss_model`'s per-policy convention.  Memoised
     in-process, single-flighted and disk-cached by the store.
     """
-    if policy not in _POLICIES:
-        raise SimulationError(
-            f"unknown replacement policy {policy!r}; expected one of "
-            f"{_POLICIES}"
-        )
-    if workload not in STANDARD_WORKLOADS:
-        raise SimulationError(
-            f"unknown workload {workload!r}; expected one of "
-            f"{sorted(STANDARD_WORKLOADS)}"
-        )
+    check_policy(policy)
+    spec = standard_workload(workload)
     key = (workload, policy)
     model = _SURFACE_TABLES.get(key)
     if model is not None:
@@ -951,7 +940,7 @@ def calibrated_miss_surface(
         else POLICY_CALIBRATION_ACCESSES
     )
     surface = profile_store_tier.get_store(cache_dir).surface(
-        STANDARD_WORKLOADS[workload],
+        spec,
         policy=policy,
         n_accesses=n_accesses,
         seed=1,

@@ -13,6 +13,19 @@ from typing import Dict, List
 
 from repro.errors import SimulationError
 
+#: The replacement policies every simulator and calibration engine runs.
+POLICIES = ("lru", "fifo", "random")
+
+
+def check_policy(policy: str) -> str:
+    """Return ``policy`` if it is one of :data:`POLICIES`, else raise."""
+    if policy not in POLICIES:
+        raise SimulationError(
+            f"unknown replacement policy {policy!r}; expected one of "
+            f"{POLICIES}"
+        )
+    return policy
+
 
 class ReplacementPolicy:
     """Interface: per-set victim selection with recency hooks."""
@@ -98,10 +111,9 @@ class RandomPolicy(ReplacementPolicy):
 
 def make_policy(name: str, seed: int = 0) -> ReplacementPolicy:
     """Build a policy by name: ``"lru"``, ``"fifo"`` or ``"random"``."""
+    check_policy(name)
     if name == "lru":
         return LruPolicy()
     if name == "fifo":
         return FifoPolicy()
-    if name == "random":
-        return RandomPolicy(seed=seed)
-    raise SimulationError(f"unknown replacement policy {name!r}")
+    return RandomPolicy(seed=seed)

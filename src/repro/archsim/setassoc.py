@@ -26,7 +26,11 @@ import numpy as np
 
 from repro.errors import SimulationError
 from repro.units import is_power_of_two
-from repro.archsim.replacement import ReplacementPolicy, LruPolicy
+from repro.archsim.replacement import (
+    LruPolicy,
+    ReplacementPolicy,
+    check_policy,
+)
 from repro.archsim.stats import CacheStats
 from repro.archsim.trace import (
     DEFAULT_CHUNK,
@@ -236,16 +240,11 @@ class ArraySetAssociativeCache:
         self.n_sets = _validate_shape(
             size_bytes, block_bytes, associativity, name
         )
-        if policy not in ("lru", "fifo", "random"):
-            raise SimulationError(
-                f"{name}: unknown replacement policy {policy!r}; expected "
-                f"'lru', 'fifo' or 'random'"
-            )
         self.name = name
         self.size_bytes = size_bytes
         self.block_bytes = block_bytes
         self.associativity = associativity
-        self.policy = policy
+        self.policy = check_policy(policy)
         self.stats = CacheStats()
         self._rng = random.Random(seed) if policy == "random" else None
         self._sets: List[Dict[int, bool]] = [

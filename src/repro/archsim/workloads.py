@@ -148,6 +148,17 @@ STANDARD_WORKLOADS: Dict[str, WorkloadSpec] = {
 }
 
 
+def standard_workload(name: str) -> WorkloadSpec:
+    """The standard workload called ``name``, else :class:`SimulationError`."""
+    spec = STANDARD_WORKLOADS.get(name)
+    if spec is None:
+        raise SimulationError(
+            f"unknown workload {name!r}; expected one of "
+            f"{sorted(STANDARD_WORKLOADS)}"
+        )
+    return spec
+
+
 @dataclass(frozen=True)
 class _TraceGeometry:
     """Derived address-layout constants shared by both generator paths."""

@@ -18,7 +18,7 @@ from typing import Dict, Iterable, NamedTuple, Set, Tuple
 
 from repro import units
 from repro.errors import ConfigurationError
-from repro.technology.bptm import TOX_MAX_A, TOX_MIN_A, VTH_MAX, VTH_MIN
+from repro.technology.bptm import bptm65, check_design_box
 
 #: The paper's four cache components, in critical-path order.
 COMPONENT_NAMES: Tuple[str, ...] = (
@@ -58,24 +58,13 @@ class Knobs(NamedTuple):
     def validate(self, technology=None) -> "Knobs":
         """Return self if inside the design box, else raise.
 
-        Without a ``technology`` the box is the paper's 65 nm range
-        (the module constants); with one, the node's own bounds.
+        Without a ``technology`` the box is the paper's 65 nm range;
+        with one, the node's own bounds.
         """
-        if technology is None:
-            vth_min, vth_max = VTH_MIN, VTH_MAX
-            tox_min_a, tox_max_a = TOX_MIN_A, TOX_MAX_A
-        else:
-            vth_min, vth_max = technology.vth_min, technology.vth_max
-            tox_min_a, tox_max_a = technology.tox_min_a, technology.tox_max_a
-        if not vth_min <= self.vth <= vth_max:
-            raise ConfigurationError(
-                f"Vth={self.vth} V outside [{vth_min:g}, {vth_max:g}] V"
-            )
-        tox_a = self.tox_angstrom
-        if not tox_min_a - 1e-9 <= tox_a <= tox_max_a + 1e-9:
-            raise ConfigurationError(
-                f"Tox={tox_a:.2f} Å outside [{tox_min_a:g}, {tox_max_a:g}] Å"
-            )
+        check_design_box(
+            technology if technology is not None else bptm65(),
+            (self.vth,), (self.tox_angstrom,), ConfigurationError,
+        )
         return self
 
     def label(self) -> str:

@@ -127,12 +127,21 @@ class CacheConfig:
         )
 
 
+def kib_to_bytes(size_kb: float) -> int:
+    """``size_kb`` KiB in bytes; a size that is not whole bytes raises."""
+    if (size_kb * 1024) % 1 != 0:
+        raise ConfigurationError(
+            f"{size_kb!r} KiB is not a whole number of bytes"
+        )
+    return int(size_kb * 1024)
+
+
 def l1_config(
     size_kb: float = 16, name: str = "L1", associativity: int = 2
 ) -> CacheConfig:
     """Return a typical L1 configuration at the given capacity."""
     return CacheConfig(
-        size_bytes=int(size_kb * 1024),
+        size_bytes=kib_to_bytes(size_kb),
         block_bytes=32,
         associativity=associativity,
         output_bits=64,
@@ -145,7 +154,7 @@ def l2_config(
 ) -> CacheConfig:
     """Return a typical unified-L2 configuration at the given capacity."""
     return CacheConfig(
-        size_bytes=int(size_kb * 1024),
+        size_bytes=kib_to_bytes(size_kb),
         block_bytes=64,
         associativity=associativity,
         output_bits=256,

@@ -48,7 +48,7 @@ from repro.errors import (
     ServiceUnavailableError,
     ValidationError,
 )
-from repro.optimize.schemes import Scheme
+from repro.optimize.schemes import SCHEME_CODES
 from repro.optimize.single_cache import (
     _compute_component_tables,
     minimize_leakage,
@@ -85,15 +85,6 @@ UNIT_DONE = "done"
 UNIT_FAILED = "failed"
 UNIT_CANCELLED = "cancelled"
 UNIT_REUSED = "reused"
-
-#: Scheme codes as the campaign spec carries them (same codes as
-#: ``POST /v1/optimize``), mapped without importing the service schemas.
-SCHEMES = {
-    "1": Scheme.PER_COMPONENT,
-    "2": Scheme.CELL_VS_PERIPHERY,
-    "3": Scheme.UNIFORM,
-}
-
 
 def _grid_to_lists(grid) -> list:
     return [[float(value) for value in row] for row in grid]
@@ -193,7 +184,7 @@ def _optimize_task(payload: dict) -> dict:
     model = CacheModel(
         cache_from_payload(payload["cache"]), technology=technology
     )
-    scheme = SCHEMES[payload["scheme"]]
+    scheme = SCHEME_CODES[payload["scheme"]]
     space = None
     if payload.get("vth") is not None:
         space = DesignSpace.for_technology(

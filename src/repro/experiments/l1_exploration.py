@@ -23,6 +23,7 @@ from repro.archsim.missmodel import (
     calibrated_miss_model,
     calibrated_miss_surface,
 )
+from repro.cache.config import kib_to_bytes
 from repro.energy.dynamic import MainMemoryModel
 from repro.experiments.report import ExperimentResult
 from repro.optimize.space import DesignSpace
@@ -105,7 +106,7 @@ def run_l1_exploration(
         candidates = [
             p
             for p in points
-            if p.feasible and p.size_bytes == int(size_kb * 1024)
+            if p.feasible and p.size_bytes == kib_to_bytes(size_kb)
         ]
         if candidates:
             series_x.append(float(size_kb))

@@ -35,7 +35,7 @@ from repro.archsim.missmodel import (
     calibrated_miss_surface,
 )
 from repro.cache.cache_model import CacheModel
-from repro.cache.config import l1_config, l2_config
+from repro.cache.config import kib_to_bytes, l1_config, l2_config
 from repro.energy.dynamic import MainMemoryModel
 from repro.experiments.report import ExperimentResult
 from repro.optimize.single_cache import enumerate_candidates
@@ -151,7 +151,7 @@ def run_l2_exploration(
         candidates = [
             p
             for p in points
-            if p.feasible and p.size_bytes == int(size_kb * 1024)
+            if p.feasible and p.size_bytes == kib_to_bytes(size_kb)
         ]
         if candidates:
             series_x.append(float(size_kb))

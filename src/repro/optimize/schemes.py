@@ -11,6 +11,9 @@
 from __future__ import annotations
 
 import enum
+from typing import Dict
+
+from repro.errors import OptimizationError
 
 
 class Scheme(str, enum.Enum):
@@ -37,3 +40,21 @@ class Scheme(str, enum.Enum):
             Scheme.CELL_VS_PERIPHERY: 2,
             Scheme.UNIFORM: 1,
         }[self]
+
+
+#: The scheme codes requests, campaign specs and the CLI use.
+SCHEME_CODES: Dict[str, Scheme] = {
+    "1": Scheme.PER_COMPONENT,
+    "2": Scheme.CELL_VS_PERIPHERY,
+    "3": Scheme.UNIFORM,
+}
+
+
+def scheme_from_code(code: str) -> Scheme:
+    """The scheme a code names, else :class:`OptimizationError`."""
+    scheme = SCHEME_CODES.get(code)
+    if scheme is None:
+        raise OptimizationError(
+            f"unknown scheme {code!r}; expected one of {sorted(SCHEME_CODES)}"
+        )
+    return scheme

@@ -25,6 +25,7 @@ from repro.technology.bptm import (
     VTH_MAX,
     VTH_MIN,
     Technology,
+    check_design_box,
 )
 from repro.cache.assignment import Knobs
 
@@ -59,18 +60,8 @@ class DesignSpace:
             raise OptimizationError("vth_values must be ascending")
         if list(self.tox_values_angstrom) != sorted(self.tox_values_angstrom):
             raise OptimizationError("tox_values_angstrom must be ascending")
-        for vth in self.vth_values:
-            if not self.vth_min - 1e-12 <= vth <= self.vth_max + 1e-12:
-                raise OptimizationError(
-                    f"Vth={vth} outside the design range "
-                    f"[{self.vth_min:g}, {self.vth_max:g}] V"
-                )
-        for tox in self.tox_values_angstrom:
-            if not self.tox_min_a - 1e-9 <= tox <= self.tox_max_a + 1e-9:
-                raise OptimizationError(
-                    f"Tox={tox} outside the design range "
-                    f"[{self.tox_min_a:g}, {self.tox_max_a:g}] Å"
-                )
+        check_design_box(self, self.vth_values, self.tox_values_angstrom,
+                         OptimizationError)
 
     @classmethod
     def for_technology(

@@ -7,6 +7,14 @@ status the transport layer should answer with (400 for bad input, 413
 for oversized grids/traces), so a malformed request can never take a
 worker thread down or surface as a 500.
 
+This module checks only JSON shape: types, unknown keys, finite numbers
+and the admission limits below.  Whether a value is legal — the
+per-node (Vth, Tox) design box, replacement policies, workload names,
+nodes and scaling styles, scheme codes, blend weights, whole-byte cache
+sizes — is decided by the library rule that owns it; :func:`_checked`
+turns that rule's error into a 400 whose message starts with the
+request field's path (``sweep.tox: Tox 5 Å is below ...``).
+
 The limits here are the daemon's admission control: a single sweep is
 capped at :data:`MAX_GRID_POINTS` grid points and a calibration at
 :data:`MAX_TRACE_ACCESSES` accesses — enough for every legitimate use of
@@ -18,16 +26,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields as dataclass_fields
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
-from repro.errors import ValidationError
-from repro.archsim.workloads import STANDARD_WORKLOADS, WorkloadSpec
+from repro.errors import ReproError, ValidationError
+from repro.archsim.missmodel import blend_shares
+from repro.archsim.replacement import check_policy
+from repro.archsim.workloads import WorkloadSpec, standard_workload
 from repro.cache.assignment import COMPONENT_NAMES, Knobs, knobs
-from repro.cache.config import CacheConfig
-from repro.optimize.schemes import Scheme
+from repro.cache.config import CacheConfig, kib_to_bytes
+from repro.optimize.schemes import Scheme, scheme_from_code
 from repro.perf.profile_store import SURFACE_ASSOCS
-from repro.technology.bptm import Technology
-from repro.technology.nodes import NODES, SCALING_STYLES, node_technology
+from repro.technology.bptm import Technology, check_design_box
+from repro.technology.nodes import NODES, node_technology
 
 #: Hard ceiling on (n_vth x n_tox) points in one sweep/optimize request.
 MAX_GRID_POINTS = 4096
@@ -49,12 +59,8 @@ MAX_CAMPAIGN_UNITS = 2048
 #: Longest server-side block a ``?wait=`` query may request (seconds).
 MAX_WAIT_SECONDS = 30.0
 
-#: Accepted scheme spellings -> enum.
-SCHEMES: Dict[str, Scheme] = {
-    "1": Scheme.PER_COMPONENT,
-    "2": Scheme.CELL_VS_PERIPHERY,
-    "3": Scheme.UNIFORM,
-}
+#: Accepted access-time targets (ps) of an optimize request or block.
+_TARGET_PS_RANGE = {"minimum": 1.0, "maximum": 1e6}
 
 
 def error_envelope(
@@ -68,6 +74,20 @@ def error_envelope(
     }
     payload.update(extra)
     return {"error": payload}
+
+
+def _checked(what: str, rule, *args, **kwargs):
+    """Apply one library rule; its error becomes a 400 naming ``what``.
+
+    A nested parser's :class:`ValidationError` keeps its status, so a
+    413 inside a campaign block stays a 413.
+    """
+    try:
+        return rule(*args, **kwargs)
+    except ReproError as error:
+        raise ValidationError(
+            f"{what}: {error}", status=getattr(error, "status", 400)
+        ) from None
 
 
 def _require_object(body, what: str) -> dict:
@@ -86,29 +106,45 @@ def _reject_unknown_keys(body: dict, allowed: Tuple[str, ...], what: str):
         )
 
 
+def _finite(value, what: str) -> float:
+    """A JSON number as a finite float; anything else is a 400.
+
+    Integers past the float range (JSON allows any digit count) count as
+    infinite rather than escaping as an ``OverflowError``.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(
+            f"{what} must be a number, got {type(value).__name__}"
+        )
+    try:
+        value = float(value)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValidationError(f"{what} must be a finite number")
+    return value
+
+
+def _in_range(value, what: str, minimum=None, maximum=None) -> float:
+    value = _finite(value, what)
+    if minimum is not None and value < minimum:
+        raise ValidationError(
+            f"{what} = {value} is below the minimum {minimum}"
+        )
+    if maximum is not None and value > maximum:
+        raise ValidationError(
+            f"{what} = {value} is above the maximum {maximum}"
+        )
+    return value
+
+
 def _number(body: dict, key: str, what: str, default=None, minimum=None,
             maximum=None) -> float:
     if key not in body:
         if default is not None:
             return default
         raise ValidationError(f"{what} is missing required field {key!r}")
-    value = body[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(
-            f"{what}.{key} must be a number, got {type(value).__name__}"
-        )
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValidationError(f"{what}.{key} must be finite, got {value}")
-    if minimum is not None and value < minimum:
-        raise ValidationError(
-            f"{what}.{key} = {value} is below the minimum {minimum}"
-        )
-    if maximum is not None and value > maximum:
-        raise ValidationError(
-            f"{what}.{key} = {value} is above the maximum {maximum}"
-        )
-    return value
+    return _in_range(body[key], f"{what}.{key}", minimum, maximum)
 
 
 def _integer(body: dict, key: str, what: str, default=None, minimum=None,
@@ -120,36 +156,40 @@ def _integer(body: dict, key: str, what: str, default=None, minimum=None,
     return int(value)
 
 
+def _scaling_style(body: dict, what: str) -> str:
+    style = body.get("scaling_style", "itrs")
+    if not isinstance(style, str):
+        raise ValidationError(
+            f"{what}.scaling_style must be a string, got "
+            f"{type(style).__name__}"
+        )
+    # Every style has the anchor node, so this checks the style alone.
+    _checked(f"{what}.scaling_style", node_technology, NODES[0], style)
+    return style
+
+
+def _node_technology(value, style: str, what: str) -> Technology:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(
+            f"{what} must be an integer nanometre node, got "
+            f"{type(value).__name__}"
+        )
+    return _checked(what, node_technology, value, style)
+
+
 def _technology(body: dict, what: str) -> Tuple[int, str, Technology]:
     """Decode the optional ``node``/``scaling_style`` fields.
 
     Returns ``(node, scaling_style, Technology)``; the default is the
     paper's 65 nm anchor under the "itrs" style (at 65 nm both styles
-    are the identical anchor).  Unknown nodes and styles are structured
-    400s naming the supported values.
+    are the identical anchor).
     """
-    raw_node = body.get("node", 65)
-    if isinstance(raw_node, bool) or not isinstance(raw_node, int):
-        raise ValidationError(
-            f"{what}.node must be an integer nanometre node, got "
-            f"{type(raw_node).__name__}"
-        )
-    if raw_node not in NODES:
-        raise ValidationError(
-            f"{what}.node = {raw_node} nm is not a supported technology "
-            f"node; expected one of {list(NODES)}"
-        )
-    style = body.get("scaling_style", "itrs")
-    if not isinstance(style, str) or style not in SCALING_STYLES:
-        raise ValidationError(
-            f"{what}.scaling_style must be one of {list(SCALING_STYLES)}, "
-            f"got {style!r}"
-        )
-    return raw_node, style, node_technology(raw_node, style)
+    style = _scaling_style(body, what)
+    node = body.get("node", 65)
+    return node, style, _node_technology(node, style, f"{what}.node")
 
 
-def _axis(body: dict, key: str, what: str, low: float, high: float,
-          unit: str) -> Optional[Tuple[float, ...]]:
+def _axis(body: dict, key: str, what: str) -> Optional[Tuple[float, ...]]:
     """Decode one sweep axis: a list of values or {min, max, points}.
 
     Returns the sorted, de-duplicated axis, or None when absent.
@@ -157,74 +197,98 @@ def _axis(body: dict, key: str, what: str, low: float, high: float,
     if key not in body:
         return None
     raw = body[key]
+    path = f"{what}.{key}"
     if isinstance(raw, dict):
-        _reject_unknown_keys(raw, ("min", "max", "points"), f"{what}.{key}")
-        lower = _number(raw, "min", f"{what}.{key}", minimum=low, maximum=high)
-        upper = _number(raw, "max", f"{what}.{key}", minimum=low, maximum=high)
-        points = _integer(raw, "points", f"{what}.{key}", minimum=2,
+        _reject_unknown_keys(raw, ("min", "max", "points"), path)
+        lower = _number(raw, "min", path)
+        upper = _number(raw, "max", path)
+        points = _integer(raw, "points", path, minimum=2,
                           maximum=MAX_AXIS_POINTS)
         if upper <= lower:
             raise ValidationError(
-                f"{what}.{key}: max ({upper}) must exceed min ({lower})"
+                f"{path}: max ({upper}) must exceed min ({lower})"
             )
         step = (upper - lower) / (points - 1)
         values = [lower + index * step for index in range(points)]
         values[-1] = upper
     elif isinstance(raw, list):
         if not raw:
-            raise ValidationError(f"{what}.{key} must not be empty")
+            raise ValidationError(f"{path} must not be empty")
         if len(raw) > MAX_AXIS_POINTS:
             raise ValidationError(
-                f"{what}.{key} has {len(raw)} points; the limit is "
+                f"{path} has {len(raw)} points; the limit is "
                 f"{MAX_AXIS_POINTS}",
                 status=413,
             )
-        values = []
-        for value in raw:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValidationError(
-                    f"{what}.{key} entries must be numbers, got "
-                    f"{type(value).__name__}"
-                )
-            value = float(value)
-            if not math.isfinite(value):
-                raise ValidationError(f"{what}.{key} entries must be finite")
-            if not low <= value <= high:
-                raise ValidationError(
-                    f"{what}.{key} value {value} {unit} is outside the "
-                    f"node's design box [{low:g}, {high:g}] {unit}"
-                )
-            values.append(value)
+        values = [_finite(value, f"{path} entries") for value in raw]
     else:
         raise ValidationError(
-            f"{what}.{key} must be a list or a {{min, max, points}} object"
+            f"{path} must be a list or a {{min, max, points}} object"
         )
     return tuple(sorted(set(values)))
 
 
+def _check_boxes(technologies: Sequence[Technology], what: str,
+                 vths: Sequence[float], toxes_a: Sequence[float]) -> None:
+    """The library's design-box rule, once per listed node."""
+    for technology in technologies:
+        _checked(f"{what}.vth", check_design_box, technology, vths=vths)
+        _checked(f"{what}.tox", check_design_box, technology,
+                 toxes_a=toxes_a)
+
+
+def _grid_axes(body: dict, what: str, technologies: Sequence[Technology],
+               required: bool):
+    """The ``vth``/``tox`` axes: in every node's box, within the budget.
+
+    A sweep requires both; an optimize request takes both or neither
+    (``(None, None)`` = the default design grid).
+    """
+    vths = _axis(body, "vth", what)
+    toxes = _axis(body, "tox", what)
+    if vths is None or toxes is None:
+        if required:
+            raise ValidationError(
+                f"{what} requires both 'vth' and 'tox' axes (a list of "
+                f"values or {{min, max, points}})"
+            )
+        if vths is not None or toxes is not None:
+            raise ValidationError(
+                f"{what} needs either both 'vth' and 'tox' axes or neither "
+                f"(the default design grid)"
+            )
+        return None, None
+    _check_boxes(technologies, what, vths, toxes)
+    _check_expansion_budget(
+        ((len(vths), "Vth"), (len(toxes), "Tox")), MAX_GRID_POINTS, what
+    )
+    return vths, toxes
+
+
 def _cache_config(body: dict, what: str) -> CacheConfig:
-    raw = _require_object(body.get("cache"), f"{what}.cache")
+    path = f"{what}.cache"
+    raw = _require_object(body.get("cache"), path)
     _reject_unknown_keys(
         raw, ("size_kb", "block_bytes", "associativity", "output_bits",
-              "name"), f"{what}.cache"
+              "name"), path
     )
-    size_kb = _number(raw, "size_kb", f"{what}.cache", minimum=1,
-                      maximum=64 * 1024)
-    block_bytes = _integer(raw, "block_bytes", f"{what}.cache", default=32,
+    size_kb = _number(raw, "size_kb", path, minimum=1, maximum=64 * 1024)
+    block_bytes = _integer(raw, "block_bytes", path, default=32,
                            minimum=8, maximum=512)
-    associativity = _integer(raw, "associativity", f"{what}.cache", default=2,
+    associativity = _integer(raw, "associativity", path, default=2,
                              minimum=1, maximum=64)
-    output_bits = _integer(raw, "output_bits", f"{what}.cache", default=64,
+    output_bits = _integer(raw, "output_bits", path, default=64,
                            minimum=8, maximum=1024)
     name = raw.get("name", f"cache-{size_kb:g}K")
     if not isinstance(name, str) or len(name) > 64:
         raise ValidationError(
-            f"{what}.cache.name must be a string of at most 64 characters"
+            f"{path}.name must be a string of at most 64 characters"
         )
-    # CacheConfig's own __post_init__ performs the deep geometry checks;
-    # its ConfigurationError is mapped to a 400 by the transport layer.
-    return CacheConfig(
-        size_bytes=int(size_kb * 1024),
+    # CacheConfig's own __post_init__ performs the deep geometry checks.
+    return _checked(
+        path,
+        CacheConfig,
+        size_bytes=_checked(f"{path}.size_kb", kib_to_bytes, size_kb),
         block_bytes=block_bytes,
         associativity=associativity,
         output_bits=output_bits,
@@ -233,17 +297,17 @@ def _cache_config(body: dict, what: str) -> CacheConfig:
 
 
 def _knobs(body: dict, key: str, what: str, default: Optional[Knobs],
-           technology: Optional[Technology] = None) -> Optional[Knobs]:
+           technologies: Sequence[Technology]) -> Optional[Knobs]:
+    """One optional (Vth, Tox) point, in every listed node's box."""
     if key not in body:
         return default
-    box = technology if technology is not None else node_technology(65)
-    raw = _require_object(body[key], f"{what}.{key}")
-    _reject_unknown_keys(raw, ("vth", "tox"), f"{what}.{key}")
-    vth = _number(raw, "vth", f"{what}.{key}", minimum=box.vth_min,
-                  maximum=box.vth_max)
-    tox = _number(raw, "tox", f"{what}.{key}", minimum=box.tox_min_a,
-                  maximum=box.tox_max_a)
-    return knobs(vth, tox)
+    path = f"{what}.{key}"
+    raw = _require_object(body[key], path)
+    _reject_unknown_keys(raw, ("vth", "tox"), path)
+    point = knobs(_number(raw, "vth", path), _number(raw, "tox", path))
+    for technology in technologies:
+        _checked(path, point.validate, technology)
+    return point
 
 
 def _assoc(body: dict, key: str, what: str) -> Optional[int]:
@@ -321,13 +385,6 @@ def _check_expansion_budget(
     return total
 
 
-def _check_grid_budget(vths: Tuple[float, ...], toxes: Tuple[float, ...],
-                       what: str) -> None:
-    _check_expansion_budget(
-        ((len(vths), "Vth"), (len(toxes), "Tox")), MAX_GRID_POINTS, what
-    )
-
-
 @dataclass(frozen=True)
 class SweepRequest:
     """One validated ``POST /v1/sweep`` body."""
@@ -346,14 +403,7 @@ def parse_sweep(body) -> SweepRequest:
                                 "scaling_style"), "sweep request")
     config = _cache_config(body, "sweep")
     node, style, tech = _technology(body, "sweep")
-    vths = _axis(body, "vth", "sweep", tech.vth_min, tech.vth_max, "V")
-    toxes = _axis(body, "tox", "sweep", tech.tox_min_a, tech.tox_max_a, "A")
-    if vths is None or toxes is None:
-        raise ValidationError(
-            "sweep requires both 'vth' and 'tox' axes (a list of values "
-            "or {min, max, points})"
-        )
-    _check_grid_budget(vths, toxes, "sweep")
+    vths, toxes = _grid_axes(body, "sweep", (tech,), required=True)
     raw_components = body.get("components")
     if raw_components is None:
         components = COMPONENT_NAMES
@@ -365,8 +415,8 @@ def parse_sweep(body) -> SweepRequest:
         for name in raw_components:
             if name not in COMPONENT_NAMES:
                 raise ValidationError(
-                    f"unknown component {name!r}; expected a subset of "
-                    f"{list(COMPONENT_NAMES)}"
+                    f"sweep.components: unknown component {name!r}; "
+                    f"expected a subset of {list(COMPONENT_NAMES)}"
                 )
         components = tuple(
             name for name in COMPONENT_NAMES if name in raw_components
@@ -396,25 +446,10 @@ def parse_optimize(body) -> OptimizeRequest:
                                 "node", "scaling_style"), "optimize request")
     config = _cache_config(body, "optimize")
     node, style, tech = _technology(body, "optimize")
-    raw_scheme = body.get("scheme", "2")
-    scheme = SCHEMES.get(str(raw_scheme))
-    if scheme is None:
-        raise ValidationError(
-            f"unknown scheme {raw_scheme!r}; expected one of "
-            f"{sorted(SCHEMES)}"
-        )
-    target_ps = _number(body, "target_ps", "optimize", minimum=1.0,
-                        maximum=1e6)
-    vths = _axis(body, "vth", "optimize", tech.vth_min, tech.vth_max, "V")
-    toxes = _axis(body, "tox", "optimize", tech.tox_min_a, tech.tox_max_a,
-                  "A")
-    if (vths is None) != (toxes is None):
-        raise ValidationError(
-            "optimize needs either both 'vth' and 'tox' axes or neither "
-            "(the default design grid)"
-        )
-    if vths is not None:
-        _check_grid_budget(vths, toxes, "optimize")
+    scheme = _checked("optimize.scheme", scheme_from_code,
+                      str(body.get("scheme", "2")))
+    target_ps = _number(body, "target_ps", "optimize", **_TARGET_PS_RANGE)
+    vths, toxes = _grid_axes(body, "optimize", (tech,), required=False)
     return OptimizeRequest(
         config=config,
         scheme=scheme,
@@ -459,34 +494,15 @@ def parse_amat(body) -> AmatRequest:
     workload: Optional[str] = None
     blend: Optional[Tuple[Tuple[str, float], ...]] = None
     if isinstance(raw_workload, str):
-        if raw_workload not in STANDARD_WORKLOADS:
-            raise ValidationError(
-                f"unknown workload {raw_workload!r}; expected one of "
-                f"{sorted(STANDARD_WORKLOADS)}"
-            )
+        _checked("amat.workload", standard_workload, raw_workload)
         workload = raw_workload
     elif isinstance(raw_workload, dict):
-        if not raw_workload:
-            raise ValidationError("amat.workload blend must not be empty")
-        pairs = []
-        for name, weight in raw_workload.items():
-            if name not in STANDARD_WORKLOADS:
-                raise ValidationError(
-                    f"unknown workload {name!r} in blend; expected a subset "
-                    f"of {sorted(STANDARD_WORKLOADS)}"
-                )
-            if isinstance(weight, bool) or not isinstance(
-                weight, (int, float)
-            ) or not math.isfinite(float(weight)) or weight < 0:
-                raise ValidationError(
-                    f"amat.workload[{name!r}] must be a non-negative number"
-                )
-            pairs.append((name, float(weight)))
-        if sum(weight for _, weight in pairs) <= 0:
-            raise ValidationError(
-                "amat.workload blend weights must sum to a positive value"
-            )
-        blend = tuple(sorted(pairs))
+        weights = {
+            name: _finite(weight, f"amat.workload[{name!r}]")
+            for name, weight in raw_workload.items()
+        }
+        _checked("amat.workload", blend_shares, weights)
+        blend = tuple(sorted(weights.items()))
     else:
         raise ValidationError(
             "amat.workload must be a suite name or a {name: weight} blend"
@@ -501,31 +517,22 @@ def parse_amat(body) -> AmatRequest:
         l1_size_kb=l1_size_kb,
         l2_size_kb=l2_size_kb,
         l1_knobs=_knobs(body, "l1_knobs", "amat", default_l1_knobs(tech),
-                        technology=tech),
+                        (tech,)),
         l2_knobs=_knobs(body, "l2_knobs", "amat", default_l2_knobs(tech),
-                        technology=tech),
+                        (tech,)),
         memory_latency=(
             _number(body, "memory_latency_ps", "amat", minimum=1.0,
                     maximum=1e7) * 1e-12
             if "memory_latency_ps" in body
             else None
         ),
-        policy=_policy(body, "amat"),
+        policy=_checked("amat.policy", check_policy,
+                        body.get("policy", "lru")),
         l1_assoc=_assoc(body, "l1_assoc", "amat"),
         l2_assoc=_assoc(body, "l2_assoc", "amat"),
         node=node,
         scaling_style=style,
     )
-
-
-def _policy(body: dict, what: str) -> str:
-    policy = body.get("policy", "lru")
-    if policy not in ("lru", "fifo", "random"):
-        raise ValidationError(
-            f"unknown replacement policy {policy!r}; expected 'lru', "
-            f"'fifo' or 'random'"
-        )
-    return policy
 
 
 @dataclass(frozen=True)
@@ -544,13 +551,7 @@ class CalibrateRequest:
 
 def _workload_spec(raw, what: str) -> WorkloadSpec:
     if isinstance(raw, str):
-        spec = STANDARD_WORKLOADS.get(raw)
-        if spec is None:
-            raise ValidationError(
-                f"unknown workload {raw!r}; expected one of "
-                f"{sorted(STANDARD_WORKLOADS)}"
-            )
-        return spec
+        return _checked(what, standard_workload, raw)
     raw = _require_object(raw, what)
     field_names = tuple(
         field.name for field in dataclass_fields(WorkloadSpec)
@@ -571,9 +572,8 @@ def _workload_spec(raw, what: str) -> WorkloadSpec:
     ):
         arguments[key] = _number(raw, key, what, default=default, minimum=0.0,
                                  maximum=10.0)
-    # WorkloadSpec's __post_init__ enforces the cross-field invariants;
-    # its SimulationError maps to a 400.
-    return WorkloadSpec(**arguments)
+    # WorkloadSpec's __post_init__ enforces the cross-field invariants.
+    return _checked(what, WorkloadSpec, **arguments)
 
 
 def _grid_kb(body: dict, key: str, what: str,
@@ -601,6 +601,21 @@ def _grid_kb(body: dict, key: str, what: str,
     return tuple(sizes)
 
 
+def _trace_length(body: dict, what: str) -> Tuple[int, int]:
+    """A calibration's ``n_accesses`` (413 past the cap) and ``seed``."""
+    n_accesses = _integer(body, "n_accesses", what, default=300_000,
+                          minimum=1_000)
+    if n_accesses > MAX_TRACE_ACCESSES:
+        raise ValidationError(
+            f"{what}.n_accesses = {n_accesses} exceeds the limit of "
+            f"{MAX_TRACE_ACCESSES}",
+            status=413,
+        )
+    seed = _integer(body, "seed", what, default=1, minimum=0,
+                    maximum=2**31 - 1)
+    return n_accesses, seed
+
+
 def parse_calibrate(body) -> CalibrateRequest:
     from repro.archsim.missmodel import L1_GRID_KB, L2_GRID_KB
 
@@ -615,20 +630,13 @@ def parse_calibrate(body) -> CalibrateRequest:
             "workload spec)"
         )
     spec = _workload_spec(body["workload"], "calibrate.workload")
-    n_accesses = _integer(body, "n_accesses", "calibrate", default=300_000,
-                          minimum=1_000)
-    if n_accesses > MAX_TRACE_ACCESSES:
-        raise ValidationError(
-            f"calibrate.n_accesses = {n_accesses} exceeds the limit of "
-            f"{MAX_TRACE_ACCESSES}",
-            status=413,
-        )
+    n_accesses, seed = _trace_length(body, "calibrate")
     return CalibrateRequest(
         spec=spec,
         n_accesses=n_accesses,
-        seed=_integer(body, "seed", "calibrate", default=1, minimum=0,
-                      maximum=2**31 - 1),
-        policy=_policy(body, "calibrate"),
+        seed=seed,
+        policy=_checked("calibrate.policy", check_policy,
+                        body.get("policy", "lru")),
         l1_grid_kb=_grid_kb(body, "l1_grid_kb", "calibrate", L1_GRID_KB),
         l2_grid_kb=_grid_kb(body, "l2_grid_kb", "calibrate", L2_GRID_KB),
         l1_assocs=_assoc_list(body, "l1_assocs", "calibrate"),
@@ -726,9 +734,11 @@ def _campaign_shape_axes(raw: dict, what: str):
 def parse_campaign(body, max_units: int = MAX_CAMPAIGN_UNITS):
     """Validate one ``POST /v1/campaigns`` body into a CampaignSpec.
 
-    Enforces the expansion budget: every block's unit count and the
-    campaign total are checked against ``max_units``, and an over-budget
-    spec gets a structured 400 naming the offending axis product.
+    Each block reuses the single-request field parsers (sweeps go
+    through :func:`parse_sweep` whole).  Enforces the expansion budget:
+    every block's unit count and the campaign total are checked against
+    ``max_units``, and an over-budget spec gets a structured 400 naming
+    the offending axis product.
     """
     from repro.campaign.spec import (
         AmatBlock,
@@ -785,12 +795,8 @@ def parse_campaign(body, max_units: int = MAX_CAMPAIGN_UNITS):
             "campaign.policies must be a non-empty list of policies"
         )
     policies = []
-    for policy in raw_policies:
-        if policy not in ("lru", "fifo", "random"):
-            raise ValidationError(
-                f"unknown replacement policy {policy!r} in "
-                f"campaign.policies; expected 'lru', 'fifo' or 'random'"
-            )
+    for index, policy in enumerate(raw_policies):
+        _checked(f"campaign.policies[{index}]", check_policy, policy)
         if policy in policies:
             raise ValidationError(
                 f"campaign.policies has duplicate policy {policy!r}"
@@ -800,6 +806,7 @@ def parse_campaign(body, max_units: int = MAX_CAMPAIGN_UNITS):
     # The technology axis: one scaling style, 1..N nodes.  Circuit-level
     # blocks (amat, sweeps, optimize) expand once per node; shared axes
     # and knobs must sit inside *every* listed node's design box.
+    style = _scaling_style(body, "campaign")
     raw_nodes = body.get("nodes", [65])
     if not isinstance(raw_nodes, list) or not raw_nodes \
             or len(raw_nodes) > len(NODES):
@@ -808,64 +815,24 @@ def parse_campaign(body, max_units: int = MAX_CAMPAIGN_UNITS):
             f"nodes (a subset of {list(NODES)})"
         )
     nodes: list = []
-    for value in raw_nodes:
-        if isinstance(value, bool) or not isinstance(value, int) \
-                or value not in NODES:
-            raise ValidationError(
-                f"campaign.nodes value {value!r} is not a supported "
-                f"technology node; expected a subset of {list(NODES)}"
-            )
+    technologies = []
+    for index, value in enumerate(raw_nodes):
+        technologies.append(
+            _node_technology(value, style, f"campaign.nodes[{index}]")
+        )
         if value in nodes:
             raise ValidationError(
                 f"campaign.nodes has duplicate node {value}"
             )
         nodes.append(value)
-    style = body.get("scaling_style", "itrs")
-    if not isinstance(style, str) or style not in SCALING_STYLES:
-        raise ValidationError(
-            f"campaign.scaling_style must be one of "
-            f"{list(SCALING_STYLES)}, got {style!r}"
-        )
-    lead_tech = node_technology(nodes[0], style)
-
-    def _check_node_boxes(vths, toxes_a, what: str) -> None:
-        """Axes shared across the node axis must fit every node's box."""
-        for node in nodes[1:]:
-            tech = node_technology(node, style)
-            for value in vths:
-                if not tech.vth_min <= value <= tech.vth_max:
-                    raise ValidationError(
-                        f"{what}: Vth {value:g} V is outside the {node} nm "
-                        f"design box [{tech.vth_min:g}, {tech.vth_max:g}] V"
-                    )
-            for value in toxes_a:
-                if not (tech.tox_min_a - 1e-9 <= value
-                        <= tech.tox_max_a + 1e-9):
-                    raise ValidationError(
-                        f"{what}: Tox {value:g} A is outside the {node} nm "
-                        f"design box [{tech.tox_min_a:g}, "
-                        f"{tech.tox_max_a:g}] A"
-                    )
 
     raw_calibration = _require_object(
         body.get("calibration", {}), "campaign.calibration"
     )
     _reject_unknown_keys(raw_calibration, ("n_accesses", "seed"),
                          "campaign.calibration")
-    n_accesses = _integer(raw_calibration, "n_accesses",
-                          "campaign.calibration", default=300_000,
-                          minimum=1_000)
-    if n_accesses > MAX_TRACE_ACCESSES:
-        raise ValidationError(
-            f"campaign.calibration.n_accesses = {n_accesses} exceeds the "
-            f"limit of {MAX_TRACE_ACCESSES}",
-            status=413,
-        )
-    calibration = CampaignCalibration(
-        n_accesses=n_accesses,
-        seed=_integer(raw_calibration, "seed", "campaign.calibration",
-                      default=1, minimum=0, maximum=2**31 - 1),
-    )
+    n_accesses, seed = _trace_length(raw_calibration, "campaign.calibration")
+    calibration = CampaignCalibration(n_accesses=n_accesses, seed=seed)
 
     matrix = None
     if "matrix" in body:
@@ -900,9 +867,9 @@ def parse_campaign(body, max_units: int = MAX_CAMPAIGN_UNITS):
             # by the planner); explicit knobs are shared by every node
             # and must therefore fit every node's box.
             l1_knobs=_knobs(raw, "l1_knobs", "campaign.amat", None,
-                            technology=lead_tech),
+                            technologies),
             l2_knobs=_knobs(raw, "l2_knobs", "campaign.amat", None,
-                            technology=lead_tech),
+                            technologies),
             memory_latency_ps=(
                 _number(raw, "memory_latency_ps", "campaign.amat",
                         minimum=1.0, maximum=1e7)
@@ -910,11 +877,6 @@ def parse_campaign(body, max_units: int = MAX_CAMPAIGN_UNITS):
                 else None
             ),
         )
-        for label, point in (("l1_knobs", amat.l1_knobs),
-                             ("l2_knobs", amat.l2_knobs)):
-            if point is not None:
-                _check_node_boxes((point.vth,), (point.tox_angstrom,),
-                                  f"campaign.amat.{label}")
 
     raw_sweeps = body.get("sweeps", [])
     if not isinstance(raw_sweeps, list) or len(raw_sweeps) > 64:
@@ -923,28 +885,19 @@ def parse_campaign(body, max_units: int = MAX_CAMPAIGN_UNITS):
         )
     sweeps = []
     for index, raw in enumerate(raw_sweeps):
-        if isinstance(raw, dict) and (
-            "node" in raw or "scaling_style" in raw
-        ):
-            raise ValidationError(
-                f"campaign.sweeps[{index}]: the technology axis is set at "
-                f"the campaign level ('nodes'/'scaling_style'), not per "
-                f"sweep block"
-            )
+        what = f"campaign.sweeps[{index}]"
         if isinstance(raw, dict):
-            # Parse against the lead node's box; the remaining nodes are
+            if "node" in raw or "scaling_style" in raw:
+                raise ValidationError(
+                    f"{what}: the technology axis is set at the campaign "
+                    f"level ('nodes'/'scaling_style'), not per sweep block"
+                )
+            # Parse against the lead node; the other nodes' boxes are
             # checked below so every listed node can run the same axes.
-            raw = dict(raw)
-            raw["node"] = nodes[0]
-            raw["scaling_style"] = style
-        try:
-            request = parse_sweep(raw)
-        except ValidationError as error:
-            raise ValidationError(
-                f"campaign.sweeps[{index}]: {error}", status=error.status
-            )
-        _check_node_boxes(request.vths, request.toxes_angstrom,
-                          f"campaign.sweeps[{index}]")
+            raw = {**raw, "node": nodes[0], "scaling_style": style}
+        request = _checked(what, parse_sweep, raw)
+        _check_boxes(technologies[1:], what, request.vths,
+                     request.toxes_angstrom)
         sweeps.append(SweepBlock(
             config=request.config,
             vths=request.vths,
@@ -978,14 +931,9 @@ def parse_campaign(body, max_units: int = MAX_CAMPAIGN_UNITS):
                 "scheme codes"
             )
         schemes = []
-        for raw_scheme in raw_schemes:
-            code = str(raw_scheme)
-            if code not in SCHEMES:
-                raise ValidationError(
-                    f"unknown scheme {raw_scheme!r} in "
-                    f"campaign.optimize.schemes; expected one of "
-                    f"{sorted(SCHEMES)}"
-                )
+        for index, code in enumerate(map(str, raw_schemes)):
+            _checked(f"campaign.optimize.schemes[{index}]", scheme_from_code,
+                     code)
             if code in schemes:
                 raise ValidationError(
                     f"campaign.optimize.schemes has duplicate scheme "
@@ -1005,23 +953,12 @@ def parse_campaign(body, max_units: int = MAX_CAMPAIGN_UNITS):
                 "campaign.optimize.target_ps must be 1..16 delay targets"
             )
         targets = tuple(
-            _number({"target_ps": value}, "target_ps",
-                    f"campaign.optimize.target_ps[{index}]",
-                    minimum=1.0, maximum=1e6)
+            _in_range(value, f"campaign.optimize.target_ps[{index}]",
+                      **_TARGET_PS_RANGE)
             for index, value in enumerate(raw_targets)
         )
-        vths = _axis(raw, "vth", "campaign.optimize", lead_tech.vth_min,
-                     lead_tech.vth_max, "V")
-        toxes = _axis(raw, "tox", "campaign.optimize", lead_tech.tox_min_a,
-                      lead_tech.tox_max_a, "A")
-        if (vths is None) != (toxes is None):
-            raise ValidationError(
-                "campaign.optimize needs either both 'vth' and 'tox' axes "
-                "or neither (the default design grid)"
-            )
-        if vths is not None:
-            _check_grid_budget(vths, toxes, "campaign.optimize")
-            _check_node_boxes(vths, toxes, "campaign.optimize")
+        vths, toxes = _grid_axes(raw, "campaign.optimize", technologies,
+                                 required=False)
         optimize = OptimizeBlock(
             configs=configs, schemes=tuple(schemes), targets_ps=targets,
             vths=vths, toxes_angstrom=toxes,

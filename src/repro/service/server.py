@@ -63,7 +63,7 @@ from repro.archsim.missmodel import (
     measure_miss_model,
     peek_miss_model,
 )
-from repro.archsim.workloads import STANDARD_WORKLOADS, WorkloadSpec
+from repro.archsim.workloads import WorkloadSpec, standard_workload
 from repro.cache.cache_model import CacheModel
 from repro.campaign.runner import CampaignManager
 from repro.cache.config import CacheConfig, l1_config, l2_config
@@ -274,14 +274,11 @@ class ReproService:
             "profile_store.warm_workloads",
             lambda: len(get_store(self.config.cache_dir).warm_workloads()),
         )
-        unknown = sorted(
-            set(config.warm_profiles) - set(STANDARD_WORKLOADS)
-        )
-        if unknown:
-            raise ValidationError(
-                f"unknown warm_profiles workload(s) {unknown}; expected a "
-                f"subset of {sorted(STANDARD_WORKLOADS)}"
-            )
+        for name in config.warm_profiles:
+            try:
+                standard_workload(name)
+            except ReproError as error:
+                raise ValidationError(f"warm_profiles: {error}") from None
         self._warm_lock = threading.Lock()
         self._warm_state: Dict[str, str] = {
             name: "pending" for name in config.warm_profiles
@@ -314,7 +311,7 @@ class ReproService:
             try:
                 for n_accesses in (300_000, TABLE_CALIBRATION_ACCESSES):
                     store.surface(
-                        STANDARD_WORKLOADS[name],
+                        standard_workload(name),
                         policy="lru",
                         n_accesses=n_accesses,
                         seed=1,

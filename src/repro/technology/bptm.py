@@ -186,25 +186,6 @@ class Technology:
             raise TechnologyError(f"tox must be positive, got {tox}")
         return units.oxide_capacitance_per_area(tox)
 
-    def validate_vth(self, vth: float) -> float:
-        """Return ``vth`` if it lies in this node's design range, else raise."""
-        if not self.vth_min <= vth <= self.vth_max:
-            raise TechnologyError(
-                f"Vth={vth:.3f} V outside {self.name}'s design range "
-                f"[{self.vth_min:g}, {self.vth_max:g}] V"
-            )
-        return vth
-
-    def validate_tox(self, tox: float) -> float:
-        """Return ``tox`` (m) if it lies in this node's design range, else raise."""
-        tox_a = units.to_angstrom(tox)
-        if not self.tox_min_a - 1e-9 <= tox_a <= self.tox_max_a + 1e-9:
-            raise TechnologyError(
-                f"Tox={tox_a:.2f} Å outside {self.name}'s design range "
-                f"[{self.tox_min_a:g}, {self.tox_max_a:g}] Å"
-            )
-        return tox
-
     def with_temperature(self, temperature_k: float) -> "Technology":
         """Return a copy of this technology at a different junction temperature."""
         return dataclasses.replace(self, temperature=temperature_k)
@@ -218,3 +199,29 @@ def bptm65() -> Technology:
     ``Technology()``.
     """
     return Technology()
+
+
+def check_design_box(box, vths=(), toxes_a=(), error=TechnologyError) -> None:
+    """Raise ``error`` unless every knob value lies in ``box``.
+
+    The one design-box rule: each Vth (V) must lie in
+    ``[box.vth_min, box.vth_max]`` exactly, and each Tox (Å) in
+    ``[box.tox_min_a, box.tox_max_a]`` within 1e-9 Å (a Tox stored in
+    metres reads back in ångströms exact only to rounding).  ``box`` is
+    anything carrying those four bounds: a :class:`Technology` or a
+    :class:`~repro.optimize.space.DesignSpace`.
+    """
+    name = getattr(box, "name", None)
+    where = f"the {name} design box" if name else "the design box"
+    for label, values, low, high, unit, slack in (
+        ("Vth", vths, box.vth_min, box.vth_max, "V", 0.0),
+        ("Tox", toxes_a, box.tox_min_a, box.tox_max_a, "Å", 1e-9),
+    ):
+        for value in values:
+            if not low - slack <= value <= high + slack:
+                bound = (
+                    f"below the minimum {low:g}" if value < low
+                    else f"above the maximum {high:g}"
+                )
+                raise error(f"{label} {value:g} {unit} is {bound} {unit} "
+                            f"of {where}")

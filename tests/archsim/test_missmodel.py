@@ -146,3 +146,30 @@ class TestBlendedModel:
 
         with pytest.raises(SimulationError):
             blended_miss_model({"spec2000": 0.0})
+
+    @pytest.mark.parametrize("weights", [
+        {"spec2000": 1e308, "tpcc": 1e308},   # the total overflows to inf
+        {"spec2000": -1.0, "tpcc": 2.0},      # a negative weight
+        {"spec2000": float("nan")},
+        {"spec2000": float("inf")},
+        {"quake3": 1.0},                      # not a standard workload
+    ])
+    def test_rejects_bad_weights(self, weights):
+        from repro.archsim.missmodel import blended_miss_model
+
+        with pytest.raises(SimulationError):
+            blended_miss_model(weights)
+
+
+class TestWorkloadLookup:
+    def test_unknown_workload_raises_from_every_entry_point(self):
+        from repro.archsim.missmodel import calibrated_miss_surface
+        from repro.archsim.workloads import standard_workload
+
+        for lookup in (standard_workload, calibrated_miss_surface,
+                       calibrated_miss_model):
+            with pytest.raises(SimulationError, match="unknown workload"):
+                lookup("quake3")
+        with pytest.raises(SimulationError, match="unknown workload"):
+            calibrated_miss_model("quake3", policy="fifo")
+

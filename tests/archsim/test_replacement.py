@@ -5,7 +5,9 @@ import pytest
 from repro.archsim.replacement import (
     FifoPolicy,
     LruPolicy,
+    POLICIES,
     RandomPolicy,
+    check_policy,
     make_policy,
 )
 from repro.errors import SimulationError
@@ -85,3 +87,9 @@ class TestFactory:
     def test_unknown_policy(self):
         with pytest.raises(SimulationError):
             make_policy("plru")
+
+    def test_check_policy(self):
+        for name in POLICIES:
+            assert check_policy(name) == name
+        with pytest.raises(SimulationError, match="replacement policy"):
+            check_policy("mru")

@@ -5,6 +5,7 @@ import pytest
 from repro.cache.config import (
     STATUS_BITS,
     CacheConfig,
+    kib_to_bytes,
     l1_config,
     l2_config,
 )
@@ -103,3 +104,19 @@ class TestPresets:
             l1_config(kb)
         for kb in (128, 4096):
             l2_config(kb)
+
+
+class TestKibToBytes:
+    @pytest.mark.parametrize("size_kb", [16, 16.0])
+    def test_whole_bytes_accepted(self, size_kb):
+        assert kib_to_bytes(size_kb) == 16384
+        assert l1_config(size_kb).size_bytes == 16384
+
+    @pytest.mark.parametrize("size_kb", [16.0004, float("nan"),
+                                         float("inf")])
+    def test_fractional_bytes_rejected(self, size_kb):
+        with pytest.raises(ConfigurationError):
+            kib_to_bytes(size_kb)
+        with pytest.raises(ConfigurationError):
+            l2_config(size_kb)
+

@@ -100,6 +100,15 @@ class TestParsing:
             parse_campaign(body)
         assert "campaign.sweeps[0]" in str(error.value)
 
+    def test_tox_within_rounding_of_the_lead_box_accepted(self):
+        # The one box rule gives Tox 1e-9 Å of slack at every node,
+        # the lead node included.
+        body = matrix_body(sweeps=[{"cache": {"size_kb": 16}, "vth": [0.3],
+                                    "tox": [14.0 + 5e-10]}])
+        assert parse_campaign(body).sweeps[0].toxes_angstrom == (
+            14.0 + 5e-10,
+        )
+
     def test_optimize_schemes_default_to_all_three(self):
         spec = parse_campaign({
             "optimize": {"caches": [{"size_kb": 16}], "target_ps": 1200},

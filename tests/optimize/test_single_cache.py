@@ -8,7 +8,7 @@ import pytest
 from repro import units
 from repro.cache.assignment import Assignment, COMPONENT_NAMES
 from repro.errors import InfeasibleConstraintError, OptimizationError
-from repro.optimize.schemes import Scheme
+from repro.optimize.schemes import SCHEME_CODES, Scheme, scheme_from_code
 from repro.optimize.single_cache import (
     component_tables,
     enumerate_candidates,
@@ -167,6 +167,12 @@ class TestInfeasibility:
     def test_unknown_scheme(self, tiny_cache, tiny_space, tables):
         with pytest.raises(OptimizationError):
             enumerate_candidates(tiny_cache, "scheme-9", tiny_space, tables)
+
+    def test_scheme_codes(self):
+        assert [scheme_from_code(code) for code in sorted(SCHEME_CODES)] \
+            == list(Scheme)
+        with pytest.raises(OptimizationError, match="unknown scheme"):
+            scheme_from_code("7")
 
 
 class TestFrontier:

@@ -5,6 +5,8 @@ import pytest
 from repro import units
 from repro.errors import OptimizationError
 from repro.optimize.space import DesignSpace, coarse_space, default_space
+from repro.technology.bptm import check_design_box
+from repro.technology.nodes import NODES, SCALING_STYLES, node_technology
 
 
 class TestDefaults:
@@ -68,3 +70,18 @@ class TestValidation:
     def test_rejects_out_of_range_tox(self):
         with pytest.raises(OptimizationError):
             DesignSpace(vth_values=(0.3,), tox_values_angstrom=(16.0,))
+
+    def test_default_grids_fit_every_node_box(self):
+        """All 476 default/coarse axis values pass the one box rule."""
+        checked = 0
+        for node in NODES:
+            for style in SCALING_STYLES:
+                technology = node_technology(node, style)
+                for space in (default_space(technology=technology),
+                              coarse_space(technology=technology)):
+                    check_design_box(technology, space.vth_values,
+                                     space.tox_values_angstrom)
+                    checked += (len(space.vth_values)
+                                + len(space.tox_values_angstrom))
+        assert checked == 476
+

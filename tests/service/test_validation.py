@@ -399,6 +399,73 @@ class TestRejectionPins:
             assert needle in payload["error"]["message"]
 
 
+#: An integer far past the float range (JSON allows any digit count).
+HUGE = 10 ** 400
+
+
+class TestLibraryRuleVerdicts:
+    """Inputs whose verdict comes from the library's one rule."""
+
+    @pytest.mark.parametrize("path, body, field", [
+        ("/v1/sweep", _with(GOOD_SWEEP, cache={"size_kb": HUGE}),
+         "sweep.cache.size_kb"),
+        ("/v1/sweep", _with(GOOD_SWEEP, vth=[0.3, HUGE]), "sweep.vth"),
+        ("/v1/calibrate", {"workload": "spec2000", "seed": HUGE},
+         "calibrate.seed"),
+        ("/v1/amat", {"workload": {"spec2000": HUGE, "tpcc": 1.0}},
+         "amat.workload['spec2000']"),
+        ("/v1/campaigns", _with(_MATRIX_CAMPAIGN, max_units=HUGE),
+         "campaign.max_units"),
+    ])
+    def test_huge_integers_are_400s(self, server, path, body, field):
+        status, payload = _post_raw(server, path, json.dumps(body).encode())
+        _assert_envelope(status, payload, 400)
+        assert payload["error"]["type"] == "ValidationError"
+        assert field in payload["error"]["message"]
+
+    def test_overflowing_blend_is_400(self, client):
+        with pytest.raises(ServiceError) as caught:
+            client.amat(workload={"spec2000": 1e308, "tpcc": 1e308})
+        _assert_envelope(caught.value.status, caught.value.envelope, 400)
+        assert caught.value.envelope["error"]["type"] == "ValidationError"
+        assert "amat.workload" in caught.value.envelope["error"]["message"]
+
+    def test_fractional_byte_size_is_400(self, client):
+        with pytest.raises(ServiceError) as caught:
+            client.request("POST", "/v1/sweep",
+                           _with(GOOD_SWEEP, cache={"size_kb": 16.0004}))
+        _assert_envelope(caught.value.status, caught.value.envelope, 400)
+        assert "sweep.cache.size_kb" in caught.value.envelope["error"][
+            "message"]
+
+    @pytest.mark.parametrize("size_kb", [16, 16.0])
+    def test_whole_byte_sizes_are_accepted(self, client, size_kb):
+        response = client.request(
+            "POST", "/v1/sweep",
+            {"cache": {"size_kb": size_kb}, "vth": [0.3], "tox": [12.0],
+             "components": ["array"]},
+        )
+        assert response["components"]["array"]["delay_ps"]
+
+    def test_tox_within_rounding_of_the_box_is_accepted(self, client):
+        # The box rule allows 1e-9 Å of slack on Tox; the sweep parser
+        # used to reject this value at the lead node.
+        response = client.request(
+            "POST", "/v1/sweep",
+            {"cache": {"size_kb": 16}, "vth": [0.3], "tox": [14.0 + 5e-10],
+             "components": ["array"]},
+        )
+        assert response["components"]["array"]["delay_ps"]
+        with pytest.raises(ServiceError) as caught:
+            client.request(
+                "POST", "/v1/sweep",
+                {"cache": {"size_kb": 16}, "vth": [0.3],
+                 "tox": [14.0 + 1e-8], "components": ["array"]},
+            )
+        assert caught.value.status == 400
+        assert "sweep.tox" in caught.value.envelope["error"]["message"]
+
+
 def test_daemon_survives_with_no_500s(server, client):
     """Runs last in the module: the barrage above left the daemon clean."""
     assert client.healthz()["status"] == "ok"

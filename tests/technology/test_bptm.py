@@ -14,6 +14,7 @@ from repro.technology.bptm import (
     VTH_MIN,
     Technology,
     bptm65,
+    check_design_box,
 )
 
 
@@ -88,22 +89,22 @@ class TestValidation:
         with pytest.raises(TechnologyError):
             Technology(wmin=0.0)
 
+    # Vth and Tox are checked by the one design-box rule.
     def test_validate_vth_accepts_range(self, technology):
-        assert technology.validate_vth(0.35) == 0.35
+        check_design_box(technology, vths=(0.35,))
 
     @pytest.mark.parametrize("vth", [0.1, 0.6])
     def test_validate_vth_rejects_outside(self, technology, vth):
         with pytest.raises(TechnologyError):
-            technology.validate_vth(vth)
+            check_design_box(technology, vths=(vth,))
 
     def test_validate_tox_accepts_range(self, technology):
-        tox = units.angstrom(12)
-        assert technology.validate_tox(tox) == tox
+        check_design_box(technology, toxes_a=(12.0,))
 
     @pytest.mark.parametrize("tox_a", [9.0, 15.0])
     def test_validate_tox_rejects_outside(self, technology, tox_a):
         with pytest.raises(TechnologyError):
-            technology.validate_tox(units.angstrom(tox_a))
+            check_design_box(technology, toxes_a=(tox_a,))
 
 
 class TestCalibration:

@@ -12,6 +12,7 @@ import argparse
 import time
 
 from repro.archsim.missmodel import measure_miss_model
+from repro.archsim.replacement import POLICIES
 from repro.archsim.workloads import STANDARD_WORKLOADS
 
 N = 2_000_000
@@ -21,7 +22,7 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--n-accesses", type=int, default=N)
     parser.add_argument("--policy", default="lru",
-                        choices=("lru", "fifo", "random"),
+                        choices=POLICIES,
                         help="replacement policy at both levels (the "
                              "committed tables are LRU)")
     parser.add_argument("--l1-assocs", default=None, metavar="A,A,...",
