@@ -265,9 +265,8 @@ def _grid_axes(body: dict, what: str, technologies: Sequence[Technology],
     return vths, toxes
 
 
-def _cache_config(body: dict, what: str) -> CacheConfig:
-    path = f"{what}.cache"
-    raw = _require_object(body.get("cache"), path)
+def _cache_config(raw, path: str) -> CacheConfig:
+    raw = _require_object(raw, path)
     _reject_unknown_keys(
         raw, ("size_kb", "block_bytes", "associativity", "output_bits",
               "name"), path
@@ -401,7 +400,7 @@ def parse_sweep(body) -> SweepRequest:
     body = _require_object(body, "sweep request")
     _reject_unknown_keys(body, ("cache", "vth", "tox", "components", "node",
                                 "scaling_style"), "sweep request")
-    config = _cache_config(body, "sweep")
+    config = _cache_config(body.get("cache"), "sweep.cache")
     node, style, tech = _technology(body, "sweep")
     vths, toxes = _grid_axes(body, "sweep", (tech,), required=True)
     raw_components = body.get("components")
@@ -444,7 +443,7 @@ def parse_optimize(body) -> OptimizeRequest:
     body = _require_object(body, "optimize request")
     _reject_unknown_keys(body, ("cache", "scheme", "target_ps", "vth", "tox",
                                 "node", "scaling_style"), "optimize request")
-    config = _cache_config(body, "optimize")
+    config = _cache_config(body.get("cache"), "optimize.cache")
     node, style, tech = _technology(body, "optimize")
     scheme = _checked("optimize.scheme", scheme_from_code,
                       str(body.get("scheme", "2")))
@@ -920,8 +919,7 @@ def parse_campaign(body, max_units: int = MAX_CAMPAIGN_UNITS):
                 "configurations"
             )
         configs = tuple(
-            _cache_config({"cache": entry},
-                          f"campaign.optimize.caches[{index}]")
+            _cache_config(entry, f"campaign.optimize.caches[{index}]")
             for index, entry in enumerate(raw_caches)
         )
         raw_schemes = raw.get("schemes", ["1", "2", "3"])

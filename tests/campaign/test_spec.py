@@ -109,6 +109,19 @@ class TestParsing:
             14.0 + 5e-10,
         )
 
+    @pytest.mark.parametrize("cache, message", [
+        ({"size_kb": 16, "ways": 2},
+         "campaign.optimize.caches[0] has unknown field(s) ['ways']"),
+        ({"size_kb": 16.0004},
+         "campaign.optimize.caches[0].size_kb: 16.0004 KiB is not a whole "
+         "number of bytes"),
+    ])
+    def test_optimize_cache_errors_name_the_list_entry(self, cache, message):
+        body = {"optimize": {"caches": [cache], "target_ps": 1200}}
+        with pytest.raises(ValidationError) as error:
+            parse_campaign(body)
+        assert message in str(error.value)
+
     def test_optimize_schemes_default_to_all_three(self):
         spec = parse_campaign({
             "optimize": {"caches": [{"size_kb": 16}], "target_ps": 1200},
