@@ -448,8 +448,7 @@ class TestLibraryRuleVerdicts:
         assert response["components"]["array"]["delay_ps"]
 
     def test_tox_within_rounding_of_the_box_is_accepted(self, client):
-        # The box rule allows 1e-9 Å of slack on Tox; the sweep parser
-        # used to reject this value at the lead node.
+        # The box rule allows 1e-9 Å of slack on Tox, and no more.
         response = client.request(
             "POST", "/v1/sweep",
             {"cache": {"size_kb": 16}, "vth": [0.3], "tox": [14.0 + 5e-10],
