@@ -65,6 +65,7 @@ from repro.archsim.workloads import (
 )
 from repro.cache.config import CacheConfig
 from repro.perf.disk_cache import DiskCache, make_fingerprint
+from repro.perf.profile_store import sets_for
 
 #: Reference shapes used for calibration.
 REFERENCE_L1_BLOCK = 32
@@ -73,6 +74,8 @@ REFERENCE_L2_BLOCK = 64
 REFERENCE_L2_ASSOC = 8
 REFERENCE_L1_KB = 16
 REFERENCE_L2_KB = 1024
+#: Block size per level: every calibration point uses its level's.
+_BLOCK = {"l1": REFERENCE_L1_BLOCK, "l2": REFERENCE_L2_BLOCK}
 
 #: Sizes (KiB) on the calibration grid.
 L1_GRID_KB: Tuple[int, ...] = (4, 8, 16, 32, 64)
@@ -274,20 +277,6 @@ def _calibration_fingerprint(
     )
 
 
-def _point_sets(level: str, kb: int, assoc: Optional[int] = None) -> int:
-    """Set count of one grid point on its level's block size."""
-    block = REFERENCE_L1_BLOCK if level == "l1" else REFERENCE_L2_BLOCK
-    assoc = _point_assoc(level, assoc)
-    size_bytes = kb * 1024
-    sets = size_bytes // (block * assoc)
-    if sets < 1 or sets * block * assoc != size_bytes:
-        raise SimulationError(
-            f"{level} size {kb} KiB does not divide into {assoc}-way "
-            f"{block}-byte sets"
-        )
-    return sets
-
-
 def _setdist_rates(
     points: Sequence[Tuple], trace
 ) -> List[float]:
@@ -307,14 +296,17 @@ def _setdist_rates(
     from repro.archsim.setdist import two_level_profiles
 
     normalized = [_normalize_point(point) for point in points]
-    sets_for = {
-        point: _point_sets(*point) for point in set(normalized)
+    set_counts = {
+        (level, kb, assoc): sets_for(
+            level, kb * 1024, assoc, block_bytes=_BLOCK[level]
+        )
+        for level, kb, assoc in set(normalized)
     }
     l1_set_counts = sorted(
-        {sets for (level, _, _), sets in sets_for.items() if level == "l1"}
+        {sets for (level, _, _), sets in set_counts.items() if level == "l1"}
     )
     l2_set_counts = sorted(
-        {sets for (level, _, _), sets in sets_for.items() if level == "l2"}
+        {sets for (level, _, _), sets in set_counts.items() if level == "l2"}
     )
     # The reference L1 replay needs its own associativity inside the L1
     # profiling window, so the window spans the requested assocs plus
@@ -327,7 +319,8 @@ def _setdist_rates(
         trace,
         l1_set_counts=l1_set_counts,
         l2_set_counts=l2_set_counts,
-        ref_sets=_point_sets("l1", REFERENCE_L1_KB),
+        ref_sets=sets_for("l1", REFERENCE_L1_KB * 1024, REFERENCE_L1_ASSOC,
+                          block_bytes=REFERENCE_L1_BLOCK),
         ref_assoc=REFERENCE_L1_ASSOC,
         l1_block_bytes=REFERENCE_L1_BLOCK,
         l2_block_bytes=REFERENCE_L2_BLOCK,
@@ -337,9 +330,9 @@ def _setdist_rates(
         l2_min_assoc=min(l2_assocs),
     )
     return [
-        l1_profiles[sets_for[point]].miss_rate(point[2])
+        l1_profiles[set_counts[point]].miss_rate(point[2])
         if point[0] == "l1"
-        else l2_profiles[sets_for[point]].miss_rate(point[2])
+        else l2_profiles[set_counts[point]].miss_rate(point[2])
         for point in normalized
     ]
 
@@ -497,10 +490,9 @@ def _store_covers(points: Sequence[Tuple[str, int, int]]) -> bool:
     """Whether every point lies on the profile store's dense surface."""
     from repro.perf import profile_store as profile_store_tier
 
-    block = {"l1": REFERENCE_L1_BLOCK, "l2": REFERENCE_L2_BLOCK}
     return all(
         profile_store_tier.covers_point(
-            level, kb * 1024, assoc, block_bytes=block[level]
+            level, kb * 1024, assoc, block_bytes=_BLOCK[level]
         )
         for level, kb, assoc in points
     )
@@ -570,7 +562,8 @@ def measure_miss_model(
     points = _grid_points(l1_grid_kb, l2_grid_kb, measured_l1, measured_l2)
     if l1_axis or l2_axis:
         for level, kb, assoc in points:
-            _point_sets(level, kb, assoc)  # raises on bad geometry
+            # Raises on a geometry that does not divide into sets.
+            sets_for(level, kb * 1024, assoc, block_bytes=_BLOCK[level])
     fingerprint = _calibration_fingerprint(
         spec, n_accesses, seed, l1_grid_kb, l2_grid_kb, policy,
         measured_l1, measured_l2,

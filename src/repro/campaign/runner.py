@@ -16,10 +16,20 @@ coordinator thread:
   killed daemon resumes a resubmitted campaign from the last finished
   unit instead of from zero;
 * every campaign keeps one shared **state record** in the same
-  namespace (``campaign-state:<id>``, format in
-  :mod:`repro.perf.records`): the raw spec document plus a progress
-  snapshot, so any worker can answer for the campaign and a surviving
-  worker can adopt it after its owner dies.
+  namespace (``campaign-state:<id>``): the raw spec document plus a
+  progress snapshot, so any worker can answer for the campaign and a
+  surviving worker can adopt it after its owner dies.
+
+Lifecycle: a campaign is born ``running`` (``done`` when every unit
+comes back from a checkpoint) and ends ``done``, ``failed`` or
+``cancelled`` (by the "client" or a "shutdown").  The campaigns live in
+a :class:`~repro.perf.records.WorkTable`, which owns the ids, the
+admission check, the transitions and every state-record write (submit,
+progress, verdict — each before it is visible).  This module adds the
+two per-kind rules: what the record holds (``CampaignManager._record``)
+and what another worker's record resolves to
+(``CampaignManager._resolve``: a sibling's progress, a final verdict,
+or an adoption).
 
 Import discipline: no module-level ``repro.service`` imports — the
 service layer imports this module.  The one service helper the sweep
@@ -30,8 +40,6 @@ injection.
 
 from __future__ import annotations
 
-import itertools
-import os
 import threading
 import time
 from dataclasses import dataclass, field
@@ -400,7 +408,7 @@ class _Campaign:
     #: Who cancelled: "client" (explicit ``DELETE``; the verdict is
     #: final everywhere) or "shutdown" (graceful drain interrupted the
     #: run; a sibling may adopt and resume from checkpoints).
-    cancel_source: Optional[str] = None
+    cancelled_by: Optional[str] = None
     thread: Optional[threading.Thread] = None
     #: The raw spec document as submitted (JSON-able); persisted with
     #: the state record so any worker can rebuild the plan and adopt
@@ -442,20 +450,12 @@ class CampaignManager:
         # it, campaigns of dead workers are reported from their state
         # records but cannot be adopted.
         self._spec_parser = spec_parser
-        self._worker_id = worker_id
-        self._lock = threading.Lock()
-        self._cond = threading.Condition(self._lock)
-        # Serialises state-record persists (snapshot + disk write as
-        # one unit) so a coordinator's stale pre-cancel snapshot can
-        # never land *after* the cancel verdict and resurrect it.
-        self._persist_lock = threading.Lock()
-        self._campaigns: Dict[str, _Campaign] = {}
-        self._ids = itertools.count(1)
-        # Campaign ids must be unique across every worker sharing one
-        # campaign store (and across restarts): namespace the counter
-        # with a per-instance random token.
-        self._instance = os.urandom(4).hex()
-        self._shutdown = False
+        self._table = records.WorkTable(
+            "campaign", self._disk, "campaign-state",
+            self._record, self._resolve, worker=worker_id,
+        )
+        self._lock = self._table.lock
+        self._cond = self._table.cond
         self._metrics.register_gauge("campaigns.active", self.active_count)
         self._metrics.register_gauge(
             "campaigns.units_inflight", self.inflight_count
@@ -466,13 +466,13 @@ class CampaignManager:
     def active_count(self) -> int:
         with self._lock:
             return sum(
-                1 for c in self._campaigns.values() if c.status == RUNNING
+                1 for c in self._table.items.values() if c.status == RUNNING
             )
 
     def inflight_count(self) -> int:
         """Child jobs currently outstanding across all campaigns."""
         with self._lock:
-            return sum(len(c.jobs) for c in self._campaigns.values())
+            return sum(len(c.jobs) for c in self._table.items.values())
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -491,45 +491,33 @@ class CampaignManager:
         campaign *under its original id* so clients polling it never
         see a rename.
         """
-        with self._lock:
-            if self._shutdown:
-                raise ServiceUnavailableError(
-                    "the service is shutting down; no new campaigns accepted"
-                )
         plan = build_plan(spec, cache_dir=self._cache_dir)
+        unit_status = {
+            unit.unit_id: (
+                UNIT_REUSED if unit.unit_id in plan.reused else UNIT_PENDING
+            )
+            for unit in plan.units
+        }
+        born_done = all(
+            status == UNIT_REUSED for status in unit_status.values()
+        )
         now = time.time()
         adopted = campaign_id is not None
-        with self._lock:
-            if self._shutdown:
-                raise ServiceUnavailableError(
-                    "the service is shutting down; no new campaigns accepted"
-                )
-            if campaign_id is None:
-                campaign_id = f"campaign-{self._instance}-{next(self._ids)}"
-            elif campaign_id in self._campaigns:
-                # Two threads raced to adopt the same orphan: first one
-                # in wins, the loser serves the incumbent.
-                return self._snapshot(
-                    self._campaigns[campaign_id], include_results=False
-                )
-            campaign = _Campaign(
-                campaign_id=campaign_id, plan=plan, created_at=now,
-                spec_body=spec_body, adopted=adopted,
-            )
-            for unit in plan.units:
-                if unit.unit_id in plan.reused:
-                    campaign.unit_status[unit.unit_id] = UNIT_REUSED
-                    campaign.results[unit.unit_id] = plan.reused[unit.unit_id]
-                else:
-                    campaign.unit_status[unit.unit_id] = UNIT_PENDING
-            born_done = all(
-                status == UNIT_REUSED
-                for status in campaign.unit_status.values()
-            )
-            if born_done:
-                campaign.status = DONE
-                campaign.finished_at = now
-            self._campaigns[campaign_id] = campaign
+        campaign = _Campaign(
+            campaign_id=campaign_id or self._table.new_id(),
+            plan=plan,
+            created_at=now,
+            status=DONE if born_done else RUNNING,
+            finished_at=now if born_done else None,
+            unit_status=unit_status,
+            results=dict(plan.reused),
+            spec_body=spec_body,
+            adopted=adopted,
+        )
+        if self._table.add(campaign) is not campaign:
+            # Two threads raced to adopt the same orphan: first one in
+            # wins, the loser serves the incumbent.
+            return self.get(campaign.campaign_id, include_results=False)
         self._metrics.increment("campaigns.submitted")
         if adopted:
             self._metrics.increment("campaigns.adopted")
@@ -539,59 +527,28 @@ class CampaignManager:
             )
         if plan.deduped:
             self._metrics.increment("campaigns.units_deduped", plan.deduped)
-        self._persist_state(campaign)
         if born_done:
             self._metrics.increment("campaigns.completed")
         else:
             campaign.thread = threading.Thread(
                 target=self._run,
                 args=(campaign,),
-                name=f"repro-{campaign_id}",
+                name=f"repro-{campaign.campaign_id}",
                 daemon=True,
             )
             campaign.thread.start()
-        return self.get(campaign_id, include_results=False)
+        return self.get(campaign.campaign_id, include_results=False)
 
-    # -- shared-state recovery ---------------------------------------------
+    def _record(self, campaign: _Campaign) -> dict:
+        """The shared state record: progress plus what adoption needs."""
+        record = self._snapshot(campaign, include_results=False)
+        record["spec_body"] = campaign.spec_body
+        if campaign.cancelled_by is not None:
+            record["cancelled_by"] = campaign.cancelled_by
+        return record
 
-    @staticmethod
-    def _state_key(campaign_id: str) -> str:
-        return f"campaign-state:{campaign_id}"
-
-    def _persist_state(self, campaign: _Campaign, verdict=None) -> None:
-        """Write this campaign's shared state record (best-effort).
-
-        The snapshot and the disk write are one serialised unit: two
-        racing persisters (the coordinator's progress checkpoint and a
-        cancel/shutdown verdict) must commit in snapshot order, or the
-        stale snapshot would win the disk and e.g. report a cancelled
-        campaign as ``running`` forever.  ``verdict`` (status,
-        finished_at) is written in place of a still-running status, so
-        :meth:`_conclude` can persist a verdict before it turns visible.
-        """
-        with self._persist_lock:
-            with self._lock:
-                record = self._snapshot(campaign, include_results=False)
-                if verdict is not None and campaign.status not in TERMINAL:
-                    record["status"], record["finished_at"] = verdict
-                record["spec_body"] = campaign.spec_body
-                if campaign.cancel_source is not None:
-                    record["cancelled_by"] = campaign.cancel_source
-            records.write(
-                self._disk, self._state_key(campaign.campaign_id), record,
-                worker=self._worker_id, instance=self._instance,
-            )
-
-    def _state_record(self, campaign_id: str) -> Optional[dict]:
-        return records.read(
-            self._disk, self._state_key(campaign_id), "campaign_id"
-        )
-
-    def _recover(self, campaign_id: str) -> Optional[dict]:
-        """Resolve a locally-unknown campaign id via the shared store.
-
-        Returns a snapshot, or ``None`` for a genuinely unknown id.
-        The cases:
+    def _resolve(self, record: dict) -> dict:
+        """A campaign record this process does not hold, as served here.
 
         * the owner is alive — serve its persisted progress record
           (slightly stale, refreshed on every unit completion);
@@ -610,9 +567,6 @@ class CampaignManager:
         * no spec parser was injected (or the record carries no spec) —
           serve the record as-is; adoption is impossible.
         """
-        record = self._state_record(campaign_id)
-        if record is None:
-            return None
         self._metrics.increment("campaigns.store_serves")
         status = record.get("status")
         if status == RUNNING and records.owned_by_sibling(record):
@@ -634,24 +588,14 @@ class CampaignManager:
             spec = self._spec_parser(body)
         except Exception:  # noqa: BLE001 - unparsable old record
             return records.client_view(record)
-        self.submit(spec, spec_body=body, campaign_id=campaign_id)
-        return self.get(campaign_id, include_results=False)
+        return self.submit(
+            spec, spec_body=body, campaign_id=record["campaign_id"]
+        )
 
     def get(self, campaign_id: str, include_results: bool = True) -> dict:
-        with self._lock:
-            campaign = self._campaigns.get(campaign_id)
-            if campaign is not None:
-                return self._snapshot(campaign, include_results)
-        recovered = self._recover(campaign_id)
-        if recovered is None:
-            raise ValidationError(
-                f"unknown campaign id {campaign_id!r}", status=404
-            )
-        with self._lock:
-            campaign = self._campaigns.get(campaign_id)
-            if campaign is not None:  # adopted: serve it locally now
-                return self._snapshot(campaign, include_results)
-        return recovered
+        return self._table.lookup(
+            campaign_id, lambda c: self._snapshot(c, include_results)
+        )
 
     def wait(
         self,
@@ -666,44 +610,9 @@ class CampaignManager:
         (:func:`repro.perf.records.long_poll`) instead of the local
         condition variable.
         """
-        deadline = time.monotonic() + max(0.0, seconds)
-
-        def fetch() -> dict:
-            with self._cond:
-                if campaign_id in self._campaigns:  # ours, or adopted
-                    return self._wait_local(
-                        campaign_id, deadline, include_results
-                    )
-            recovered = self._recover(campaign_id)
-            if recovered is None:
-                raise ValidationError(
-                    f"unknown campaign id {campaign_id!r}", status=404
-                )
-            with self._cond:
-                if campaign_id in self._campaigns:  # adopted just now
-                    return self._wait_local(
-                        campaign_id, deadline, include_results
-                    )
-            return recovered
-
-        return records.long_poll(fetch, deadline)
-
-    def _wait_local(
-        self, campaign_id: str, deadline: float, include_results: bool
-    ) -> dict:
-        """Condition-variable wait for a locally-owned campaign.
-
-        Caller must hold ``self._cond``.
-        """
-        while True:
-            campaign = self._campaigns[campaign_id]
-            if campaign.status in TERMINAL:
-                break
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                break
-            self._cond.wait(min(remaining, 0.25))
-        return self._snapshot(campaign, include_results)
+        return self._table.wait(
+            campaign_id, seconds, lambda c: self._snapshot(c, include_results)
+        )
 
     def cancel(self, campaign_id: str) -> dict:
         """Cancel a campaign and all its outstanding child jobs.
@@ -711,15 +620,10 @@ class CampaignManager:
         Checkpoints of already-finished units stay on disk — that is the
         point: a resubmitted identical spec resumes from them.
         """
-        with self._cond:
-            campaign = self._campaigns.get(campaign_id)
-            if campaign is None:
-                record = self._state_record(campaign_id)
-                if record is None:
-                    raise ValidationError(
-                        f"unknown campaign id {campaign_id!r}", status=404
-                    )
-                return records.cancel_view(record, "campaign")
+        return self._table.cancel(campaign_id, self._cancel_held)
+
+    def _cancel_held(self, campaign: _Campaign) -> dict:
+        with self._lock:
             if campaign.status in TERMINAL:
                 return self._snapshot(campaign, include_results=False)
             campaign.cancel_requested = True
@@ -731,49 +635,53 @@ class CampaignManager:
                 self._jobs.cancel(job_id)
             except ValidationError:
                 pass
-        with self._cond:
+        if self._stop(campaign, "client"):
+            self._metrics.increment("campaigns.cancelled")
+        with self._lock:
+            return self._snapshot(campaign, include_results=False)
+
+    def _stop(self, campaign: _Campaign, cancelled_by: str) -> bool:
+        """Cancel a campaign whose coordinator was told to stop.
+
+        Open units become cancelled and the outstanding child jobs are
+        forgotten (a client cancel withdrew them; a drain leaves them to
+        the job manager), then the cancelled verdict is recorded.
+        ``cancelled_by`` is "client" (final everywhere) or "shutdown"
+        (a sibling may adopt and resume from checkpoints).
+        """
+        with self._lock:
             for unit_id, status in campaign.unit_status.items():
                 if status in (UNIT_PENDING, UNIT_RUNNING):
                     campaign.unit_status[unit_id] = UNIT_CANCELLED
             campaign.jobs.clear()
-            if campaign.status not in TERMINAL:
-                campaign.status = CANCELLED
-                campaign.cancel_source = "client"
-                campaign.finished_at = time.time()
-            self._cond.notify_all()
-            snapshot = self._snapshot(campaign, include_results=False)
-        self._persist_state(campaign)
-        self._metrics.increment("campaigns.cancelled")
-        return snapshot
+        return self._table.advance(
+            campaign, CANCELLED, finished_at=time.time(),
+            cancelled_by=cancelled_by,
+        )
 
     def shutdown(self, wait_seconds: float = 2.0) -> dict:
-        """Stop coordinators (SIGTERM path; child jobs drain separately)."""
-        with self._cond:
-            self._shutdown = True
+        """Stop coordinators (SIGTERM path; child jobs drain separately).
+
+        Each running campaign's record says ``cancelled_by: shutdown``,
+        so a sibling (or a restarted daemon) adopts it and resumes from
+        the checkpoints.
+        """
+        with self._lock:
             active = [
-                c for c in self._campaigns.values() if c.status == RUNNING
+                c for c in self._table.close() if c.status == RUNNING
             ]
             for campaign in active:
                 campaign.cancel_requested = True
-                for unit_id, status in campaign.unit_status.items():
-                    if status in (UNIT_PENDING, UNIT_RUNNING):
-                        campaign.unit_status[unit_id] = UNIT_CANCELLED
-                campaign.status = CANCELLED
-                campaign.cancel_source = "shutdown"
-                campaign.finished_at = time.time()
-                campaign.jobs.clear()  # they drain with the job manager
-            self._cond.notify_all()
+        cancelled = sum(
+            self._stop(campaign, "shutdown") for campaign in active
+        )
         deadline = time.monotonic() + wait_seconds
         for campaign in active:
             if campaign.thread is not None:
                 campaign.thread.join(
                     timeout=max(0.0, deadline - time.monotonic())
                 )
-        for campaign in active:
-            # Record the cancelled verdict so a sibling (or a restarted
-            # daemon) can adopt and resume from the checkpoints.
-            self._persist_state(campaign)
-        return {"cancelled": len(active)}
+        return {"cancelled": cancelled}
 
     # -- the coordinator ---------------------------------------------------
 
@@ -781,7 +689,8 @@ class CampaignManager:
         try:
             while True:
                 with self._lock:
-                    if campaign.status != RUNNING or self._shutdown:
+                    if campaign.status != RUNNING or \
+                            campaign.cancel_requested:
                         return
                 progressed = self._collect(campaign)
                 progressed = self._launch(campaign) or progressed
@@ -790,7 +699,7 @@ class CampaignManager:
                 if progressed:
                     # Progress checkpoints make the shared record a live
                     # progress view for siblings answering polls.
-                    self._persist_state(campaign)
+                    self._table.persist(campaign)
                 else:
                     time.sleep(self._poll_interval)
         except Exception as error:  # noqa: BLE001 - coordinator must not die
@@ -799,7 +708,9 @@ class CampaignManager:
                     campaign.errors["coordinator"] = (
                         f"{type(error).__name__}: {error}"
                     )
-            if self._conclude(campaign, FAILED):
+            if self._table.advance(
+                campaign, FAILED, finished_at=time.time()
+            ):
                 self._metrics.increment("campaigns.failed")
 
     def _targets(self, campaign: _Campaign, target: str) -> List[Unit]:
@@ -1020,8 +931,8 @@ class CampaignManager:
 
     def _finalize_if_complete(self, campaign: _Campaign) -> bool:
         with self._lock:
-            if campaign.status in TERMINAL:
-                return True
+            if campaign.status in TERMINAL or campaign.cancel_requested:
+                return True  # a cancel or drain records its own verdict
             statuses = campaign.unit_status.values()
             if any(
                 s in (UNIT_PENDING, UNIT_RUNNING) for s in statuses
@@ -1029,28 +940,11 @@ class CampaignManager:
                 return False
             failed = any(s == UNIT_FAILED for s in statuses)
         verdict = FAILED if failed else DONE
-        if self._conclude(campaign, verdict):
+        if self._table.advance(campaign, verdict, finished_at=time.time()):
             self._metrics.increment(
                 "campaigns.failed" if verdict == FAILED
                 else "campaigns.completed"
             )
-        return True
-
-    def _conclude(self, campaign: _Campaign, verdict: str) -> bool:
-        """Persist ``verdict`` (done or failed), then make it visible.
-
-        A client that :meth:`wait` wakes finds the verdict in the shared
-        record too, as it does for jobs.  Returns ``False`` if a cancel
-        or a drain got there first (its own record then wins the disk).
-        """
-        finished_at = time.time()
-        self._persist_state(campaign, verdict=(verdict, finished_at))
-        with self._cond:
-            if campaign.status in TERMINAL:
-                return False
-            campaign.status = verdict
-            campaign.finished_at = finished_at
-            self._cond.notify_all()
         return True
 
     # -- snapshots ---------------------------------------------------------

@@ -29,11 +29,15 @@ from dataclasses import dataclass, fields as dataclass_fields
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.errors import ReproError, ValidationError
-from repro.archsim.missmodel import blend_shares
+from repro.archsim.missmodel import (
+    REFERENCE_L1_ASSOC,
+    REFERENCE_L2_ASSOC,
+    blend_shares,
+)
 from repro.archsim.replacement import check_policy
 from repro.archsim.workloads import WorkloadSpec, standard_workload
 from repro.cache.assignment import COMPONENT_NAMES, Knobs, knobs
-from repro.cache.config import CacheConfig, kib_to_bytes
+from repro.cache.config import CacheConfig, kib_to_bytes, l1_config, l2_config
 from repro.optimize.schemes import Scheme, scheme_from_code
 from repro.perf.profile_store import SURFACE_ASSOCS
 from repro.technology.bptm import Technology, check_design_box
@@ -468,6 +472,8 @@ class AmatRequest:
     blend_weights: Optional[Tuple[Tuple[str, float], ...]]
     l1_size_kb: float
     l2_size_kb: float
+    l1: CacheConfig
+    l2: CacheConfig
     l1_knobs: Knobs
     l2_knobs: Knobs
     memory_latency: Optional[float]
@@ -510,11 +516,17 @@ def parse_amat(body) -> AmatRequest:
                          maximum=1024)
     l2_size_kb = _number(body, "l2_size_kb", "amat", default=1024.0,
                          minimum=32, maximum=64 * 1024)
+    l1_assoc = _assoc(body, "l1_assoc", "amat")
+    l2_assoc = _assoc(body, "l2_assoc", "amat")
     return AmatRequest(
         workload=workload,
         blend_weights=blend,
         l1_size_kb=l1_size_kb,
         l2_size_kb=l2_size_kb,
+        l1=_checked("amat.l1_size_kb", l1_config, l1_size_kb,
+                    associativity=l1_assoc or REFERENCE_L1_ASSOC),
+        l2=_checked("amat.l2_size_kb", l2_config, l2_size_kb,
+                    associativity=l2_assoc or REFERENCE_L2_ASSOC),
         l1_knobs=_knobs(body, "l1_knobs", "amat", default_l1_knobs(tech),
                         (tech,)),
         l2_knobs=_knobs(body, "l2_knobs", "amat", default_l2_knobs(tech),
@@ -527,8 +539,8 @@ def parse_amat(body) -> AmatRequest:
         ),
         policy=_checked("amat.policy", check_policy,
                         body.get("policy", "lru")),
-        l1_assoc=_assoc(body, "l1_assoc", "amat"),
-        l2_assoc=_assoc(body, "l2_assoc", "amat"),
+        l1_assoc=l1_assoc,
+        l2_assoc=l2_assoc,
         node=node,
         scaling_style=style,
     )
@@ -703,9 +715,7 @@ def _campaign_shape_axes(raw: dict, what: str):
     from repro.archsim.missmodel import (
         L1_GRID_KB,
         L2_GRID_KB,
-        REFERENCE_L1_ASSOC,
         REFERENCE_L1_BLOCK,
-        REFERENCE_L2_ASSOC,
         REFERENCE_L2_BLOCK,
     )
     from repro.perf.profile_store import covers_point

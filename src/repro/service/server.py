@@ -66,7 +66,7 @@ from repro.archsim.missmodel import (
 from repro.archsim.workloads import WorkloadSpec, standard_workload
 from repro.cache.cache_model import CacheModel
 from repro.campaign.runner import CampaignManager
-from repro.cache.config import CacheConfig, l1_config, l2_config
+from repro.cache.config import CacheConfig
 from repro.energy.dynamic import MainMemoryModel
 from repro.optimize.single_cache import minimize_leakage
 from repro.optimize.space import DesignSpace
@@ -432,16 +432,8 @@ class ReproService:
 
     def handle_amat(self, body) -> Tuple[int, dict]:
         request = schemas.parse_amat(body)
-        l1_assoc = (
-            request.l1_assoc
-            if request.l1_assoc is not None
-            else REFERENCE_L1_ASSOC
-        )
-        l2_assoc = (
-            request.l2_assoc
-            if request.l2_assoc is not None
-            else REFERENCE_L2_ASSOC
-        )
+        l1_assoc = request.l1.associativity
+        l2_assoc = request.l2.associativity
         # Non-reference shapes need the associativity-complete surface
         # models; reference requests keep the committed tables.
         need_surface = (
@@ -465,14 +457,8 @@ class ReproService:
                 cache_dir=self.config.cache_dir,
             )
         technology = node_technology(request.node, request.scaling_style)
-        l1_model = CacheModel(
-            l1_config(request.l1_size_kb, associativity=l1_assoc),
-            technology=technology,
-        )
-        l2_model = CacheModel(
-            l2_config(request.l2_size_kb, associativity=l2_assoc),
-            technology=technology,
-        )
+        l1_model = CacheModel(request.l1, technology=technology)
+        l2_model = CacheModel(request.l2, technology=technology)
         l1_eval = l1_model.uniform(request.l1_knobs)
         l2_eval = l2_model.uniform(request.l2_knobs)
         memory = (

@@ -13,9 +13,15 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Optional
+
+import pytest
 
 from repro.campaign.runner import CampaignManager
+from repro.errors import ServiceUnavailableError, ValidationError
 from repro.perf import records
 from repro.perf.disk_cache import DiskCache
 from repro.procutil import proc_start_ticks
@@ -137,3 +143,87 @@ class TestLiveness:
             assert not records.owned_by_sibling(
                 {"owner_pid": 1, "owner_start_ticks": 123456789}
             )
+
+
+@dataclass
+class _Item:
+    item_id: str
+    status: str = "queued"
+    note: Optional[str] = None
+
+
+def _table(tmp_path, resolve=records.client_view):
+    return records.WorkTable(
+        "item", DiskCache("items", directory=tmp_path), "item-record",
+        lambda item: {"item_id": item.item_id, "status": item.status,
+                      "note": item.note},
+        resolve,
+    )
+
+
+class TestWorkTable:
+    def test_terminal_statuses_have_no_exits(self, tmp_path):
+        table = _table(tmp_path)
+        item = table.add(_Item(table.new_id()))
+        assert not table.advance(item, "queued")
+        assert table.advance(item, "running")
+        assert not table.advance(item, "running")
+        assert table.advance(item, "done", note="first")
+        for status in records.TRANSITIONS:
+            assert not table.advance(item, status, note="late")
+        assert (item.status, item.note) == ("done", "first")
+        assert set(records.TERMINAL) == {
+            status for status, exits in records.TRANSITIONS.items()
+            if not exits
+        }
+
+    def test_racing_verdicts_one_wins_on_disk_and_in_memory(self, tmp_path):
+        """Threads race four verdicts per item; exactly one lands, and
+        the record on disk agrees with memory."""
+        table = _table(tmp_path)
+        disk = DiskCache("items", directory=tmp_path)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(25):
+                item = table.add(_Item(table.new_id()))
+                statuses = records.TERMINAL * 2
+                start = threading.Barrier(len(statuses))
+                wins = []
+
+                def race(status, item=item, start=start, wins=wins):
+                    start.wait(timeout=10.0)
+                    wins.append(table.advance(item, status, note=status))
+
+                threads = [
+                    threading.Thread(target=race, args=(status,))
+                    for status in statuses
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=10.0)
+                assert not any(thread.is_alive() for thread in threads)
+                assert wins.count(True) == 1
+                record = disk.load(f"item-record:{item.item_id}")
+                assert record["status"] == item.status == item.note
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_closed_table_refuses_new_items(self, tmp_path):
+        table = _table(tmp_path)
+        table.close()
+        with pytest.raises(ServiceUnavailableError):
+            table.add(_Item(table.new_id()))
+
+    def test_foreign_ids_resolve_through_the_store(self, tmp_path):
+        owner = _table(tmp_path)
+        item = owner.add(_Item(owner.new_id()))
+        peer = _table(tmp_path)
+        assert peer.lookup(item.item_id)["status"] == "queued"
+        # Owned elsewhere and open: a cancel is a note, not an effect.
+        answer = peer.cancel(item.item_id, cancel_held=None)
+        assert "owned by another worker" in answer["note"]
+        with pytest.raises(ValidationError) as error:
+            peer.lookup("item-unknown-1")
+        assert error.value.status == 404

@@ -284,6 +284,12 @@ REJECTIONS = {
          "node": 11, "scaling_style": "cons",
          "l1_knobs": {"vth": 0.3, "tox": 12.0}},
         400, ["amat.l1_knobs", "above the maximum 11"]),
+    "amat-l1-size-not-a-cache-geometry": (
+        "/v1/amat", {"workload": "spec2000", "l1_size_kb": 16.5}, 400,
+        ["amat.l1_size_kb", "16896"]),
+    "amat-l2-size-not-a-cache-geometry": (
+        "/v1/amat", {"workload": "spec2000", "l2_size_kb": 1000}, 400,
+        ["amat.l2_size_kb", "1024000"]),
     "calibrate-trace-over-cap": (
         "/v1/calibrate", {"workload": "spec2000", "n_accesses": 50_000_000},
         413, ["calibrate.n_accesses"]),
