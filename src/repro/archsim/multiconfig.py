@@ -25,14 +25,21 @@ layers of sharing make it fast:
   arrays at all — a coarser set index is a bit-prefix of a finer one, so
   every lane masks the same shifted-block list with its own
   ``n_sets - 1``.
-* **Run compression.**  Consecutive accesses to the same block are
-  guaranteed hits in every configuration at once: the first access of
-  the run leaves the block resident, and hits never touch FIFO or
-  random replacement state.  Each chunk is compressed with numpy to its
-  block-boundary events plus per-run ORed write flags; typical
-  synthetic traces shed ~50 % of their accesses before the Python loop
-  ever sees them.  The ORed flag drives the dirty bits, so write-back
-  accounting stays exact.
+* **Per-set run compression.**  An access whose set's previous access
+  touched the same block is a guaranteed hit: nothing else reached that
+  set in between, and hits never touch FIFO or random replacement state
+  or draw a victim.  Each chunk is stable-sorted by set index with
+  numpy, every in-set repeat is dropped, and the run heads go back to
+  trace order carrying their run's ORed write flag (which drives the
+  dirty bit, so write-back accounting stays exact).  A group compresses
+  at its *coarsest* set count: by set refinement an in-set repeat there
+  is one at every finer set count, so one shared event stream is exact
+  for every cache in the fused loop.  Chunks compress independently —
+  keeping a set's first event in each chunk is always exact.  On
+  300 k-access synthetic traces (32 B blocks) 64-set compression keeps
+  22 k events where dropping only the trace's consecutive repeats keeps
+  137 k (spec2000; tpcc 40 k of 148 k): a few hot sets take most of the
+  traffic.
 * **One L1 per lane, replayed L2s.**  Each lane advances its L1 state
   once per event and records the resulting L2 traffic (dirty-victim
   write-back followed by the demand fill, in simulation order).  Every
@@ -47,12 +54,17 @@ set state with straight-line, local-variable-only code.  2-way and
 direct-mapped levels use an exact two-slot/one-slot fill-order encoding
 (plain Python lists indexed by set); other associativities use
 insertion-ordered dicts, whose first key is the oldest fill.  FIFO
-evicts the oldest fill.  Random draws victims from per-cache seeded
-:class:`random.Random` streams — L1 on ``seed``, every follower L2 on
-``seed + 1``, the exact streams
+evicts the oldest fill.  Random evicts the candidate a per-cache
+seeded :class:`random.Random` stream picks — L1 on ``seed``, every
+follower L2 on ``seed + 1``, the exact streams
 :class:`~repro.archsim.hierarchy.ArrayTwoLevelHierarchy` uses per
 point — so each point's statistics stay bit-identical no matter how
-points are grouped into lanes.
+points are grouped into lanes.  Every draw is ``choice`` over a full
+set's ``assoc`` candidates, so each cache's draws are one index
+sequence fixed by its seed: the engine pre-draws them in bulk per chunk
+(:func:`_predraw`) and the kernels only index the candidates with the
+next one.  A direct-mapped set has one candidate, so direct-mapped
+random runs the FIFO kernel and draws nothing.
 """
 
 from __future__ import annotations
@@ -111,15 +123,15 @@ _SLOT1_STATE = (
 _DICT_STATE = (
     "    S{i}=g[{i}]['sets']; k{i}=g[{i}]['mask']; A{i}=g[{i}]['assoc']\n"
 )
-# Random additionally binds the cache's seeded victim chooser.
-_CHOICE = "    C{i}=g[{i}]['choice']\n"
+# Random additionally binds the cache's pre-drawn victim indices and
+# the position of the next one.
+_DRAWS = "    D{i}=g[{i}]['draws']; j{i}=0\n"
 _PROLOGUE = {
     "fslot2": _SLOT2_STATE,
     "slot1": _SLOT1_STATE,
     "fdict": _DICT_STATE,
-    "rslot2": _SLOT2_STATE + _CHOICE,
-    "rslot1": _SLOT1_STATE + _CHOICE,
-    "rdict": _DICT_STATE + _CHOICE,
+    "rslot2": _SLOT2_STATE + _DRAWS,
+    "rdict": _DICT_STATE + _DRAWS,
 }
 
 _COUNTERS = "    h{i}=0; mi{i}=0; rm{i}=0; wm{i}=0; ev{i}=0; wb{i}=0; mem{i}=0\n"
@@ -129,7 +141,8 @@ _EVENTS = (
     "owap{i}=g[{i}]['ops_write'].append\n"
 )
 
-# FIFO direct-mapped: one slot per set, so the victim is forced.
+# Direct-mapped (FIFO and random): one slot per set, so the victim is
+# forced.
 _SLOT1 = """\
         s = sb & k{i}
         m = u{i}[s]
@@ -181,10 +194,9 @@ _FSLOT2 = """\
 {dirty_victim}{miss}"""
 
 # Random two-slot: same fill-order slots as FIFO, but a full set's
-# victim is drawn from the seeded per-cache stream.  The candidate tuple
-# is (older, newer) — exactly ``list(resident)`` in the array engine —
-# so the rng consumes identical state and picks identical victims.  An
-# unfilled set evicts nothing and draws nothing, like the array engine.
+# victim is the next pre-drawn index into the candidates (older, newer)
+# — exactly ``list(resident)`` in the array engine.  An unfilled set
+# evicts nothing and draws nothing, like the array engine.
 _RSLOT2 = """\
         s = sb & k{i}
         m = u{i}[s]
@@ -207,41 +219,16 @@ _RSLOT2 = """\
                 u{i}[s] = b; v{i}[s] = m
                 e{i}[s] = d{i}[s]; d{i}[s] = aw
             else:
-                victim = C{i}((victim, m))
                 ev{i} += 1
-                if victim == m:
+                if D{i}[j{i}]:
+                    victim = m
                     t = d{i}[s]
                     u{i}[s] = b; d{i}[s] = aw
                 else:
                     t = e{i}[s]
                     u{i}[s] = b; v{i}[s] = m
                     e{i}[s] = d{i}[s]; d{i}[s] = aw
-                if t:
-                    wb{i} += 1
-{dirty_victim}{miss}"""
-
-# Random direct-mapped: the victim is forced, but the array engine still
-# calls ``choice`` on the one-element candidate list (``_randbelow(1)``
-# draws bits), so the kernel must burn the same rng state to keep later
-# draws aligned.
-_RSLOT1 = """\
-        s = sb & k{i}
-        m = u{i}[s]
-        if b == m:
-            h{i} += 1
-            if aw:
-                d{i}[s] = True
-        else:
-            mi{i} += 1
-            if x:
-                wm{i} += 1
-            else:
-                rm{i} += 1
-            t = d{i}[s]
-            u{i}[s] = b; d{i}[s] = aw
-            if m != -1:
-                C{i}((m,))
-                ev{i} += 1
+                j{i} += 1
                 if t:
                     wb{i} += 1
 {dirty_victim}{miss}"""
@@ -269,8 +256,8 @@ _FDICT = """\
 {miss}            r[b] = aw
 """
 
-# Random dict: fill-order residency with a seeded victim draw over the
-# full set (``list(r)`` matches the array engine's candidate order).
+# Random dict: fill-order residency; a full set's victim is the next
+# pre-drawn index into ``list(r)``, the array engine's candidate order.
 _RDICT = """\
         r = S{i}[sb & k{i}]
         t = r.get(b, MS)
@@ -285,7 +272,8 @@ _RDICT = """\
             else:
                 rm{i} += 1
             if len(r) >= A{i}:
-                victim = C{i}(list(r))
+                victim = list(r)[D{i}[j{i}]]
+                j{i} += 1
                 if r.pop(victim):
                     wb{i} += 1
 {dirty_victim}                ev{i} += 1
@@ -303,23 +291,27 @@ _EPILOGUE = """\
     st.writebacks += wb{i}
     g[{i}]['memory'] += mem{i}
 """
+# Random keeps the unused pre-drawn indices for the next chunk.
+_DRAWS_EPILOGUE = "    g[{i}]['draws'] = D{i}[j{i}:]\n"
 
 
 _TEMPLATES = {
     "slot1": _SLOT1,
     "fslot2": _FSLOT2,
     "rslot2": _RSLOT2,
-    "rslot1": _RSLOT1,
     "fdict": _FDICT,
     "rdict": _RDICT,
 }
+
+#: Kinds that pre-draw victim indices.
+_DRAWING = ("rslot2", "rdict")
 
 
 def _cache_section(i: int, kind: str, events: bool, memory: bool) -> str:
     """One cache's per-event code block inside the fused loop."""
     indent = " " * 20
-    # The one-slot kinds hold their victim in `m`; the rest bind `victim`.
-    victim_name = "m" if kind in ("slot1", "rslot1") else "victim"
+    # The one-slot kind holds its victim in `m`; the rest bind `victim`.
+    victim_name = "m" if kind == "slot1" else "victim"
     dirty_victim = ""
     if events:
         dirty_victim += f"{indent}oaap{i}({victim_name})\n"
@@ -359,8 +351,10 @@ def _build_group_runner(
         lines.append("    for b, sb, x, aw in zip(bl, sbl, xl, awl):\n")
     for i, kind in enumerate(kinds):
         lines.append(_cache_section(i, kind, events[i], memory))
-    for i in range(len(kinds)):
+    for i, kind in enumerate(kinds):
         lines.append(_EPILOGUE.format(i=i))
+        if kind in _DRAWING:
+            lines.append(_DRAWS_EPILOGUE.format(i=i))
     source = "".join(lines)
     namespace: Dict[str, object] = {"MS": _MISSING}
     exec(compile(source, "<multiconfig-group>", "exec"), namespace)
@@ -369,29 +363,74 @@ def _build_group_runner(
     return runner
 
 
-def _compress(blocks: np.ndarray, writes: np.ndarray):
-    """Collapse runs of consecutive equal blocks to (indices, run-OR).
+def _compress(blocks: np.ndarray, sets: np.ndarray, writes: np.ndarray):
+    """Drop every access whose set's previous access hit the same block.
 
-    Returns ``(kept_indices, run_any_write, skipped)`` where ``skipped``
-    is the number of dropped accesses — each a guaranteed hit whose
-    only architectural effect (the dirty bit) is carried by the ORed
-    write flag of its run.
+    ``sets`` holds each access's set index at the group's coarsest set
+    count.  Returns ``(kept_indices, run_any_write, skipped)``: the
+    in-set run heads in trace order, each run's ORed write flag, and
+    the number of dropped accesses — each a guaranteed hit whose only
+    architectural effect (the dirty bit) its run head carries.
     """
     n = blocks.size
     if n == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, np.empty(0, dtype=bool), 0
-    keep = np.empty(n, dtype=bool)
-    keep[0] = True
-    np.not_equal(blocks[1:], blocks[:-1], out=keep[1:])
+    order = np.argsort(sets, kind="stable")
+    in_set = blocks[order]
+    head = np.empty(n, dtype=bool)
+    head[0] = True
+    # Equal neighbours in set order share a set, so a block compare
+    # alone finds the in-set repeats.
+    np.not_equal(in_set[1:], in_set[:-1], out=head[1:])
+    starts = np.nonzero(head)[0]
+    run_write = np.logical_or.reduceat(writes[order], starts)
+    heads = order[starts]
+    keep = np.zeros(n, dtype=bool)
+    keep[heads] = True
+    any_write = np.zeros(n, dtype=bool)
+    any_write[heads] = run_write
     kept = np.nonzero(keep)[0]
-    return kept, np.logical_or.reduceat(writes, kept), int(n - kept.size)
+    return kept, any_write[kept], int(n - kept.size)
+
+
+def _predraw(state: dict, need: int) -> None:
+    """Top a random cache's pre-drawn victim indices up to ``need``.
+
+    Each index is the pick of the cache's next
+    ``random.Random(seed).choice`` over its ``assoc`` candidates.
+    CPython's ``choice`` takes ``_randbelow(assoc)``: one 32-bit word
+    per try, shifted down to ``assoc.bit_length()`` bits and retried
+    while ``>= assoc``; ``getrandbits(32 * n)`` returns ``n`` successive
+    words, least significant first.  So one bulk call and a numpy
+    filter give the same sequence, and the rng keeps its place for the
+    next top-up.
+    """
+    left = np.asarray(state["draws"])
+    short = need - left.size
+    if short <= 0:
+        return
+    assoc = state["assoc"]
+    shift = 32 - assoc.bit_length()
+    getrandbits = state["rng"].getrandbits
+    parts = [left]
+    while short > 0:
+        # Power-of-two assoc accepts half the tries on average.
+        words = 2 * short + 64
+        tries = np.frombuffer(
+            getrandbits(32 * words).to_bytes(4 * words, "little"),
+            dtype="<u4",
+        ) >> shift
+        drawn = tries[tries < assoc].astype(left.dtype)
+        parts.append(drawn)
+        short -= drawn.size
+    state["draws"] = memoryview(np.concatenate(parts))
 
 
 #: State encoding per (associativity class, policy).
 _KINDS = {
     2: {"fifo": "fslot2", "random": "rslot2"},
-    1: {"fifo": "slot1", "random": "rslot1"},
+    1: {"fifo": "slot1", "random": "slot1"},
     None: {"fifo": "fdict", "random": "rdict"},
 }
 
@@ -401,10 +440,11 @@ def _state_for(
 ) -> dict:
     """Allocate the per-set state for one cache of the given shape.
 
-    A random-policy cache owns its rng stream, created here from
-    ``seed`` — per cache, not per lane group or shard, so victim draws
-    depend only on the cache's own miss sequence and results are stable
-    under any point grouping.
+    A drawing cache owns its rng stream, created here from ``seed`` —
+    per cache, not per lane group or shard, so victim draws depend only
+    on the cache's own miss sequence and results are stable under any
+    point grouping.  Its pre-drawn indices take one byte each up to
+    256-way sets.
     """
     size_bytes, block_bytes, associativity = shape
     n_sets = _validate_shape(size_bytes, block_bytes, associativity, name)
@@ -413,6 +453,7 @@ def _state_for(
         "kind": kind,
         "mask": n_sets - 1,
         "assoc": associativity,
+        "block_bytes": block_bytes,
         "stats": CacheStats(),
         "memory": 0,
     }
@@ -421,17 +462,68 @@ def _state_for(
         state["older"] = [-1] * n_sets
         state["dirty_newer"] = [False] * n_sets
         state["dirty_older"] = [False] * n_sets
-    elif kind in ("slot1", "rslot1"):
+    elif kind == "slot1":
         state["newer"] = [-1] * n_sets
         state["dirty_newer"] = [False] * n_sets
     else:
         state["sets"] = [dict() for _ in range(n_sets)]
-    if policy == "random":
-        state["choice"] = random.Random(seed).choice
+    if kind in _DRAWING:
+        state["rng"] = random.Random(seed)
+        state["draws"] = memoryview(
+            np.empty(0, dtype=np.min_scalar_type(associativity - 1))
+        )
     if events:
         state["ops_addr"] = []
         state["ops_write"] = []
     return state
+
+
+class _Group:
+    """Caches of one block size fed one compressed event stream."""
+
+    __slots__ = ("block_bytes", "shift", "coarse", "set_dtype", "states",
+                 "drawing", "runner", "events")
+
+    def __init__(self, block_bytes: int, states: List[dict],
+                 events: Sequence[bool], memory: bool) -> None:
+        self.block_bytes = block_bytes
+        self.shift = block_bytes.bit_length() - 1
+        # Mask of the coarsest set count.  Its set indices fit the
+        # smallest unsigned dtype, which keeps numpy's stable argsort a
+        # radix sort.
+        self.coarse = min(state["mask"] for state in states)
+        self.set_dtype = np.min_scalar_type(self.coarse)
+        self.states = states
+        self.drawing = [state for state in states
+                        if state["kind"] in _DRAWING]
+        self.runner = _build_group_runner(
+            [state["kind"] for state in states], events, memory
+        )
+        self.events = any(events)
+
+    def feed(self, addresses: np.ndarray, is_write: np.ndarray) -> None:
+        """Advance every cache of the group through one chunk."""
+        blocks = addresses & -self.block_bytes
+        shifted = blocks >> self.shift
+        kept, any_write, skipped = _compress(
+            blocks, (shifted & self.coarse).astype(self.set_dtype),
+            is_write,
+        )
+        for state in self.drawing:
+            _predraw(state, kept.size)
+        self.runner(
+            blocks[kept].tolist(),
+            shifted[kept].tolist(),
+            is_write[kept].tolist(),
+            any_write.tolist(),
+            addresses[kept].tolist() if self.events else (),
+            self.states,
+        )
+        if skipped:
+            for state in self.states:
+                stats = state["stats"]
+                stats.accesses += skipped
+                stats.hits += skipped
 
 
 def _group_by_block(states: Sequence[dict]) -> List[Tuple[int, List[dict]]]:
@@ -454,9 +546,8 @@ class _Lane:
         self.seed = seed
         self.state = _state_for(shape, "L1", events=True,
                                 policy=policy, seed=seed)
-        self.state["block_bytes"] = shape[1]
         self.followers: Dict[_Shape, dict] = {}
-        self.follower_groups: List[tuple] = []
+        self.follower_groups: List[_Group] = []
 
     def follower(self, shape: _Shape) -> dict:
         state = self.followers.get(shape)
@@ -465,20 +556,17 @@ class _Lane:
             # independent ArrayTwoLevelHierarchy would hand this L2.
             state = _state_for(shape, "L2", events=False,
                                policy=self.policy, seed=self.seed + 1)
-            state["block_bytes"] = shape[1]
             self.followers[shape] = state
         return state
 
     def compile_runners(self) -> None:
         """Group followers by block size and build each fused loop."""
-        self.follower_groups = []
-        for block_bytes, states in _group_by_block(list(self.followers.values())):
-            runner = _build_group_runner(
-                [state["kind"] for state in states],
-                events=[False] * len(states),
-                memory=True,
+        self.follower_groups = [
+            _Group(block_bytes, states, [False] * len(states), memory=True)
+            for block_bytes, states in _group_by_block(
+                list(self.followers.values())
             )
-            self.follower_groups.append((block_bytes, states, runner))
+        ]
 
 
 class MultiConfigHierarchyEngine:
@@ -548,21 +636,16 @@ class MultiConfigHierarchyEngine:
 
         # L1 lanes grouped by block size: shared decode + one fused
         # loop.  Only lanes with followers record their L2 traffic.
-        self._lane_groups = []
-        for block_bytes, states in _group_by_block(
-            [lane.state for lane in self._lanes.values()]
-        ):
-            by_id = {id(lane.state): lane for lane in self._lanes.values()}
-            event_flags = [bool(by_id[id(state)].followers)
-                           for state in states]
-            runner = _build_group_runner(
-                [state["kind"] for state in states],
-                events=event_flags,
-                memory=False,
+        has_followers = {id(lane.state): bool(lane.followers)
+                         for lane in self._lanes.values()}
+        self._lane_groups = [
+            _Group(block_bytes, states,
+                   [has_followers[id(state)] for state in states],
+                   memory=False)
+            for block_bytes, states in _group_by_block(
+                [lane.state for lane in self._lanes.values()]
             )
-            self._lane_groups.append(
-                (block_bytes, states, runner, any(event_flags))
-            )
+        ]
         for lane in self._lanes.values():
             lane.compile_runners()
 
@@ -588,24 +671,8 @@ class MultiConfigHierarchyEngine:
         self, addresses: np.ndarray, is_write: np.ndarray
     ) -> None:
         """Advance every configuration through one chunk of accesses."""
-        for block_bytes, states, runner, wants_events in self._lane_groups:
-            shift = block_bytes.bit_length() - 1
-            blocks = addresses & -block_bytes
-            kept, any_write, skipped = _compress(blocks, is_write)
-            kept_blocks = blocks[kept]
-            runner(
-                kept_blocks.tolist(),
-                (kept_blocks >> shift).tolist(),
-                is_write[kept].tolist(),
-                any_write.tolist(),
-                addresses[kept].tolist() if wants_events else (),
-                states,
-            )
-            if skipped:
-                for state in states:
-                    stats = state["stats"]
-                    stats.accesses += skipped
-                    stats.hits += skipped
+        for group in self._lane_groups:
+            group.feed(addresses, is_write)
         # Replay each lane's recorded L2 traffic into its followers.
         for lane in self._lanes.values():
             ops_addr = lane.state["ops_addr"]
@@ -616,24 +683,8 @@ class MultiConfigHierarchyEngine:
             write_array = np.array(ops_write, dtype=bool)
             ops_addr.clear()
             ops_write.clear()
-            for block_bytes, states, runner in lane.follower_groups:
-                shift = block_bytes.bit_length() - 1
-                blocks = addr_array & -block_bytes
-                kept, any_write, skipped = _compress(blocks, write_array)
-                kept_blocks = blocks[kept]
-                runner(
-                    kept_blocks.tolist(),
-                    (kept_blocks >> shift).tolist(),
-                    write_array[kept].tolist(),
-                    any_write.tolist(),
-                    (),
-                    states,
-                )
-                if skipped:
-                    for state in states:
-                        stats = state["stats"]
-                        stats.accesses += skipped
-                        stats.hits += skipped
+            for group in lane.follower_groups:
+                group.feed(addr_array, write_array)
 
     def run(
         self, trace: TraceLike, chunk_size: int = DEFAULT_CHUNK

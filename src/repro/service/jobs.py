@@ -29,6 +29,7 @@ failure, :meth:`JobManager._resolve`).
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 from concurrent.futures import Future, ProcessPoolExecutor
@@ -49,6 +50,23 @@ DONE = "done"
 FAILED = "failed"
 CANCELLED = "cancelled"
 TIMEOUT = "timeout"
+
+
+def _exit_with_parent(parent: int) -> None:
+    """Pool initializer: end this pool process once ``parent`` is gone.
+
+    A manager that dies without a shutdown (kill -9, ``os._exit``)
+    leaves its pool processes blocked on the call queue forever.  A
+    daemon thread notices the re-parenting and exits the process.
+    """
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(0.5)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="repro-pool-parent-watch",
+                     daemon=True).start()
 
 
 @dataclass
@@ -116,7 +134,9 @@ class JobManager:
     def _ensure_executor(self) -> ProcessPoolExecutor:
         if self._executor is None:
             self._executor = ProcessPoolExecutor(
-                max_workers=self._max_workers
+                max_workers=self._max_workers,
+                initializer=_exit_with_parent,
+                initargs=(os.getpid(),),
             )
         if self._watchdog is None:
             self._watchdog = threading.Thread(

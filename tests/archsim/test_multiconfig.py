@@ -1,6 +1,6 @@
 """The batched multi-config engine must match per-point simulation *exactly*.
 
-`MultiConfigHierarchyEngine` shares one address decode, run-length
+`MultiConfigHierarchyEngine` shares one address decode, per-set run
 compression, and one simulated L1 per distinct shape across every
 configuration in the grid.  None of that sharing may show up in the
 numbers: every statistic of every point must be bit-identical to running

@@ -9,12 +9,18 @@ and workload shapes.  Random is the sharpest probe: one extra or missing
 rng draw anywhere desynchronises every later victim choice.
 """
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.archsim.hierarchy import ArrayTwoLevelHierarchy
-from repro.archsim.multiconfig import MultiConfigHierarchyEngine
+from repro.archsim.multiconfig import (
+    MultiConfigHierarchyEngine,
+    _predraw,
+    _state_for,
+)
 from repro.archsim.trace import TraceBuffer
 from repro.archsim.workloads import (
     SPEC2000_LIKE,
@@ -37,8 +43,8 @@ def _config(size_bytes, block_bytes, associativity, name):
 
 
 # Direct-mapped, 2-way and dict-encoded shapes at both levels, so every
-# generated kernel variant (slot1/rslot1, fslot2/rslot2, fdict/rdict)
-# is exercised.
+# generated kernel variant (slot1, fslot2/rslot2, fdict/rdict) is
+# exercised.
 L1_SHAPES = [
     (512, 32, 1),
     (512, 32, 2),
@@ -220,3 +226,88 @@ class TestPolicyContract:
             assert base != other  # the seed really reaches the kernels
         else:
             assert base == other
+
+
+class TestPredrawnVictims:
+    @pytest.mark.parametrize("assoc", [2, 4, 8, 16])
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**16 + 3])
+    def test_indices_follow_choice_across_refills(self, assoc, seed):
+        # Each top-up continues the stream where the last one stopped,
+        # and unused indices carry over, as between chunks.
+        state = _state_for((assoc * 64 * 4, 64, assoc), "L2",
+                           events=False, policy="random", seed=seed)
+        used = []
+        for need, take in ((50, 30), (200, 200), (10, 5), (1000, 400)):
+            _predraw(state, need)
+            draws = state["draws"]
+            assert len(draws) >= need
+            used += list(draws[:take])
+            state["draws"] = draws[take:]
+        rng = random.Random(seed)
+        assert used == [rng.choice(range(assoc)) for _ in used]
+
+    def test_direct_mapped_random_draws_nothing(self):
+        # One candidate per set: random evicts exactly what FIFO does,
+        # whatever the seed.
+        points = [
+            (_config(512, 32, 1, "L1"), _config(4096, 64, 1, "L2")),
+            (_config(1024, 32, 1, "L1"), None),
+        ]
+        records = [((index * 13) * 32 % 16384, index % 3 == 0)
+                   for index in range(3_000)]
+        fifo = MultiConfigHierarchyEngine(points, "fifo").run(
+            _buffer(records))
+        for seed in (0, 5):
+            engine = MultiConfigHierarchyEngine(points, "random", seed=seed)
+            assert all("rng" not in state
+                       for group in engine._lane_groups
+                       for state in group.states)
+            assert engine.run(_buffer(records)) == fifo
+
+
+class TestPerSetCompression:
+    #: Shapes whose coarsest set count (8 sets) separates the two
+    #: interleaved blocks of each round.
+    POINTS = [
+        (_config(512, 32, 2, "L1"), _config(4096, 64, 4, "L2")),
+        (_config(512, 32, 1, "L1"), _config(4096, 64, 1, "L2")),
+        (_config(1024, 32, 2, "L1"), None),
+    ]
+
+    @staticmethod
+    def _interleaved():
+        # Rounds of a, b, a, b, ... with a in set 0 and b in set 1; the
+        # rounds conflict in every set, so dirty victims are written
+        # back.  No two consecutive accesses share a block, so a global
+        # run compression would drop nothing.
+        records = []
+        for round_ in range(3):
+            a, b = round_ * 4096, round_ * 4096 + 32
+            records += [(a if index % 2 == 0 else b, index % 5 == 0)
+                        for index in range(400)]
+        return records
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_interleaved_sets_exact_with_fewer_events(self, policy, seed):
+        records = self._interleaved()
+        blocks = np.array([address for address, _ in records]) & -32
+        assert np.all(blocks[1:] != blocks[:-1])
+        engine = MultiConfigHierarchyEngine(self.POINTS, policy, seed=seed)
+        fed = []
+
+        def counting(runner):
+            def run(bl, *rest):
+                fed.append(len(bl))
+                return runner(bl, *rest)
+            return run
+
+        for group in engine._lane_groups:
+            group.runner = counting(group.runner)
+        results = engine.run(_buffer(records), chunk_size=len(records))
+        # Two in-set runs per round reach the L1 kernels.
+        assert fed == [6]
+        for actual, (l1_config, l2_config) in zip(results, self.POINTS):
+            _assert_point_matches(
+                actual, l1_config, l2_config, records, policy, seed
+            )

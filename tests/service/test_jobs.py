@@ -8,8 +8,13 @@ deadline, since forcing a 120 s HTTP timeout would be absurd in CI.
 
 from __future__ import annotations
 
+import os
+import signal
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -194,3 +199,64 @@ class TestJobManagerUnit:
         assert snapshot["status"] == "failed"
         assert "TypeError" in snapshot["error"]
         manager.shutdown(wait_seconds=5.0)
+
+
+#: A manager that runs one job, reports the pool process's pid and
+#: waits to be killed.
+ORPHAN_CHILD = """
+import os, time
+from repro.service.jobs import JobManager
+jobs = JobManager(max_workers=1, durable=False)
+print(jobs.wait_for(jobs.submit("pid", os.getpid), 60.0)["result"],
+      flush=True)
+time.sleep(600)
+"""
+
+
+def _alive(pid: int) -> bool:
+    """Whether ``pid`` runs (a zombie nobody reaps counts as gone)."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            state = stat.read().rsplit(")", 1)[1].split()[0]
+    except (FileNotFoundError, ProcessLookupError):
+        return False
+    return state != "Z"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"),
+                    reason="reads process states from /proc")
+def test_pool_workers_exit_with_a_killed_manager(tmp_path):
+    repo = Path(__file__).resolve().parents[2]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(repo / "src"), env.get("PYTHONPATH", "")]
+    )
+    out_path = tmp_path / "pool.pid"
+    with open(out_path, "wb") as out:
+        process = subprocess.Popen(
+            [sys.executable, "-c", ORPHAN_CHILD], cwd=repo, env=env,
+            stdout=out, stderr=subprocess.DEVNULL,
+            # Its own process group, so killpg reaps a pool worker that
+            # outlives it.
+            start_new_session=True,
+        )
+        try:
+            deadline = time.monotonic() + 60
+            while not out_path.read_text().strip():
+                assert process.poll() is None, "manager exited early"
+                assert time.monotonic() < deadline, "no pool pid reported"
+                time.sleep(0.05)
+            pool_pid = int(out_path.read_text())
+            assert _alive(pool_pid)
+            os.kill(process.pid, signal.SIGKILL)
+            process.wait()
+            deadline = time.monotonic() + 5
+            while _alive(pool_pid) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not _alive(pool_pid), "pool worker outlived its manager"
+        finally:
+            try:
+                os.killpg(process.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            process.wait()

@@ -136,7 +136,8 @@ class WorkItemMachine(RuleBasedStateMachine):
             mock.patch.object(records, "write", write),
             mock.patch.object(
                 jobs_module, "ProcessPoolExecutor",
-                lambda max_workers: ManualPool(self.entries, self.submitting),
+                lambda max_workers, **_: ManualPool(self.entries,
+                                                    self.submitting),
             ),
         ]
         for patch in self.patches:
