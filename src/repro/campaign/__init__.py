@@ -14,7 +14,8 @@ deduplicated, checkpointed unit fleet out:
     per-unit checkpointing to the ``campaigns`` disk namespace.
 
 This package sits *below* :mod:`repro.service` (the service imports it,
-never the reverse at module level).
+never the reverse) and above :mod:`repro.answers`, which builds every
+unit's answer.
 """
 
 from repro.campaign.planner import Plan, Unit, build_plan

@@ -17,11 +17,11 @@ The planner turns one :class:`~repro.campaign.spec.CampaignSpec` into a
   ``campaigns`` disk store (or, for profile units, whose dense surface
   is already servable by the profile store) are born done with the
   checkpointed result;
-* **sweep coalescing** — same-structure sweep units are grouped into
-  union-grid batches (the leader/follower discipline of
-  :mod:`repro.service.batching`, applied ahead of time), bounded by the
-  batcher's union ceiling, so N sweeps over one structure cost one
-  engine evaluation.
+* **sweep coalescing** — same-model sweep units are grouped into
+  union-grid batches (the leader/follower discipline of the daemon's
+  sweep batcher, applied ahead of time), bounded by
+  :data:`repro.answers.MAX_UNION_POINTS`, so N sweeps over one structure
+  cost one engine evaluation.
 
 Unit payloads are plain JSON-able dicts — they cross the process-pool
 boundary and land in checkpoints verbatim.
@@ -32,6 +32,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.answers import MAX_UNION_POINTS, model_key, structure_key
 from repro.archsim.workloads import WorkloadSpec
 from repro.cache.assignment import Knobs
 from repro.cache.config import CacheConfig
@@ -118,16 +119,6 @@ def cache_from_payload(payload: dict) -> CacheConfig:
         associativity=int(payload["associativity"]),
         output_bits=int(payload["output_bits"]),
         name=str(payload["name"]),
-    )
-
-
-def _structure_key(config: CacheConfig) -> Tuple[int, int, int, int]:
-    """The batching identity of a cache: its geometry, never its name."""
-    return (
-        config.size_bytes,
-        config.block_bytes,
-        config.associativity,
-        config.output_bits,
     )
 
 
@@ -327,7 +318,7 @@ def build_plan(spec: CampaignSpec, cache_dir=None) -> Plan:
     for block in spec.sweeps:
         for node, style in tech_axis:
             fingerprint = unit_fingerprint(
-                "sweep", _structure_key(block.config), node, style,
+                "sweep", structure_key(block.config), node, style,
                 block.vths, block.toxes_angstrom, block.components,
             )
             unit = add("sweep", fingerprint, {
@@ -350,7 +341,7 @@ def build_plan(spec: CampaignSpec, cache_dir=None) -> Plan:
                 for target_ps in block.targets_ps:
                     for node, style in tech_axis:
                         fingerprint = unit_fingerprint(
-                            "optimize", _structure_key(config), node, style,
+                            "optimize", structure_key(config), node, style,
                             scheme, target_ps, block.vths,
                             block.toxes_angstrom,
                         )
@@ -377,29 +368,22 @@ def build_plan(spec: CampaignSpec, cache_dir=None) -> Plan:
 
 def _group_sweeps(plan: Plan, sweep_units: List[Unit]) -> None:
     """Coalesce non-reused sweep units into bounded union-grid groups."""
-    # Lazy import keeps repro.campaign free of module-level service
-    # imports (the service layer imports campaign types at load time).
-    from repro.service.batching import MAX_UNION_POINTS
-
-    # Grouping identity = structure + technology: a union grid is one
+    # Grouping identity = the model map's key: a union grid is one
     # engine pass over one model, and the model is (structure, node,
     # style) — grids at different nodes can never share tables.
-    by_structure: Dict[Tuple, List[Unit]] = {}
+    by_model: Dict[Tuple, List[Unit]] = {}
     for unit in sweep_units:
         if unit.unit_id in plan.reused:
             continue
-        key = (
-            unit.payload["cache"]["size_bytes"],
-            unit.payload["cache"]["block_bytes"],
-            unit.payload["cache"]["associativity"],
-            unit.payload["cache"]["output_bits"],
-            unit.payload.get("node", 65),
-            unit.payload.get("scaling_style", "itrs"),
+        key = model_key(
+            cache_from_payload(unit.payload["cache"]),
+            unit.payload["node"],
+            unit.payload["scaling_style"],
         )
-        by_structure.setdefault(key, []).append(unit)
+        by_model.setdefault(key, []).append(unit)
 
     group_index = 0
-    for members in by_structure.values():
+    for members in by_model.values():
         current: List[Unit] = []
         union_vths: set = set()
         union_toxes: set = set()

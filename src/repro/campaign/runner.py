@@ -31,11 +31,14 @@ and what another worker's record resolves to
 (``CampaignManager._resolve``: a sibling's progress, a final verdict,
 or an adoption).
 
-Import discipline: no module-level ``repro.service`` imports — the
-service layer imports this module.  The one service helper the sweep
-task needs (:func:`~repro.service.batching.slice_grid`) is imported
-lazily at call time, and the job manager plus metrics registry arrive by
-injection.
+What each unit answers is written once, in :mod:`repro.answers`: sweep
+groups, optimisations and AMAT pricings call the same builders as the
+daemon's ``/v1/sweep``, ``/v1/optimize`` and ``/v1/amat`` handlers, and
+take their circuit models from the same process-wide model map.
+
+Import discipline: no ``repro.service`` imports — the service layer
+imports this module.  The job manager, the metrics registry and the
+spec parser arrive by injection.
 """
 
 from __future__ import annotations
@@ -46,10 +49,15 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import units as siunits
-from repro.archsim.amat import amat_two_level
+from repro.answers import (
+    optimize_answer,
+    optimize_head,
+    price_amat,
+    shared_model,
+    sweep_answer,
+)
 from repro.cache.assignment import knobs
-from repro.cache.cache_model import CacheModel
-from repro.cache.config import CacheConfig, l1_config, l2_config
+from repro.cache.config import l1_config, l2_config
 from repro.energy.dynamic import MainMemoryModel
 from repro.errors import (
     InfeasibleConstraintError,
@@ -57,17 +65,13 @@ from repro.errors import (
     ValidationError,
 )
 from repro.optimize.schemes import SCHEME_CODES
-from repro.optimize.single_cache import (
-    _compute_component_tables,
-    minimize_leakage,
-)
+from repro.optimize.single_cache import _compute_component_tables
 from repro.optimize.space import DesignSpace
 from repro.perf import records
 from repro.perf.disk_cache import DiskCache
 from repro.perf.records import TERMINAL
 from repro.perf.profile_store import get_store
 from repro.perf.table_cache import cached_tables
-from repro.technology.nodes import node_technology
 
 from repro.campaign.planner import (
     CHECKPOINTS,
@@ -93,9 +97,6 @@ UNIT_DONE = "done"
 UNIT_FAILED = "failed"
 UNIT_CANCELLED = "cancelled"
 UNIT_REUSED = "reused"
-
-def _grid_to_lists(grid) -> list:
-    return [[float(value) for value in row] for row in grid]
 
 
 # ---------------------------------------------------------------------------
@@ -125,57 +126,35 @@ def _profile_task(
 def _sweep_group_task(
     members: Sequence[Tuple[str, dict]],
     cache_payload: dict,
-    node: int = 65,
-    scaling_style: str = "itrs",
+    node: int,
+    scaling_style: str,
 ) -> dict:
     """Evaluate one union (Vth, Tox) grid; slice every member out of it.
 
     This is the leader/follower batching discipline applied ahead of
     time: N same-structure sweep units cost one engine grid evaluation.
     Grouping guarantees every member shares one (node, style), so one
-    technology covers the whole union.  Returns ``{unit_id:
-    sweep-response dict}``.
+    model covers the whole union.  Returns ``{unit_id: sweep answer}``.
     """
-    # Lazy: repro.campaign must not import repro.service at module level.
-    from repro.service.batching import slice_grid
-
-    technology = node_technology(node, scaling_style)
-    model = CacheModel(
-        cache_from_payload(cache_payload), technology=technology
+    model = shared_model(
+        cache_from_payload(cache_payload), node, scaling_style
     )
     union_vths = sorted({v for _, p in members for v in p["vth"]})
     union_toxes = sorted({t for _, p in members for t in p["tox_angstrom"]})
     space = DesignSpace.for_technology(
-        technology,
+        model.technology,
         vth_values=tuple(union_vths),
         tox_values_angstrom=tuple(union_toxes),
     )
     tables = cached_tables(model, space, _compute_component_tables)
-    results = {}
-    for unit_id, payload in members:
-        vths = tuple(payload["vth"])
-        toxes = tuple(payload["tox_angstrom"])
-        components = {}
-        for name in payload["components"]:
-            sliced = slice_grid(tables, space, vths, toxes, name)
-            components[name] = {
-                "delay_ps": _grid_to_lists(siunits.to_ps(sliced["delay"])),
-                "leakage_mw": _grid_to_lists(
-                    siunits.to_mw(sliced["leakage"])
-                ),
-                "energy_pj": _grid_to_lists(
-                    siunits.to_pj(sliced["energy"])
-                ),
-            }
-        results[unit_id] = {
-            "cache": payload["cache"]["name"],
-            "node": node,
-            "scaling_style": scaling_style,
-            "vth": list(vths),
-            "tox_angstrom": list(toxes),
-            "components": components,
-        }
-    return results
+    return {
+        unit_id: sweep_answer(
+            tables, space, payload["vth"], payload["tox_angstrom"],
+            payload["components"], payload["cache"]["name"], node,
+            scaling_style,
+        )
+        for unit_id, payload in members
+    }
 
 
 def _optimize_task(payload: dict) -> dict:
@@ -184,70 +163,45 @@ def _optimize_task(payload: dict) -> dict:
     An infeasible delay target is a *result* (``feasible: false`` with
     the best achievable access time), not a unit failure — a campaign
     comparing Schemes I–III across targets wants the frontier, not an
-    error.
+    error.  The target is echoed as the spec gave it.
     """
-    node = int(payload.get("node", 65))
-    style = str(payload.get("scaling_style", "itrs"))
-    technology = node_technology(node, style)
-    model = CacheModel(
-        cache_from_payload(payload["cache"]), technology=technology
-    )
+    node, style = payload["node"], payload["scaling_style"]
     scheme = SCHEME_CODES[payload["scheme"]]
-    space = None
-    if payload.get("vth") is not None:
-        space = DesignSpace.for_technology(
-            technology,
-            vth_values=tuple(payload["vth"]),
-            tox_values_angstrom=tuple(payload["tox_angstrom"]),
-        )
-    base = {
-        "cache": payload["cache"]["name"],
-        "node": node,
-        "scaling_style": style,
-        "scheme": scheme.paper_name,
-        "target_ps": payload["target_ps"],
-    }
+    head = optimize_head(
+        payload["cache"]["name"], node, style, scheme, payload["target_ps"]
+    )
     try:
-        result = minimize_leakage(
-            model, scheme, siunits.ps(payload["target_ps"]), space=space
+        # ``feasible`` rides in the head: it follows ``target_ps`` in
+        # every result, checkpointed ones included.
+        return optimize_answer(
+            shared_model(cache_from_payload(payload["cache"]), node, style),
+            scheme, siunits.ps(payload["target_ps"]),
+            {**head, "feasible": True},
+            payload["vth"], payload["tox_angstrom"],
         )
     except InfeasibleConstraintError as error:
-        return {
-            **base,
-            "feasible": False,
-            "best_achievable_ps": float(
-                siunits.to_ps(error.best_achievable)
-            ),
-        }
-    return {
-        **base,
-        "feasible": True,
-        "access_ps": float(siunits.to_ps(result.access_time)),
-        "slack_ps": float(siunits.to_ps(result.slack)),
-        "leakage_mw": float(siunits.to_mw(result.leakage_power)),
-        "assignment": {
-            name: {
-                "vth": float(point.vth),
-                "tox_angstrom": float(point.tox_angstrom),
-            }
-            for name, point in result.assignment.components()
-        },
-    }
+        best = float(siunits.to_ps(error.best_achievable))
+        return {**head, "feasible": False, "best_achievable_ps": best}
 
 
 # ---------------------------------------------------------------------------
 # Light units (run inline on the coordinator thread)
 # ---------------------------------------------------------------------------
 
-def run_point_unit(payload: dict, cache_dir: Optional[str] = None) -> dict:
-    """One calibration point read off the workload's dense surface."""
+def _unit_surface(payload: dict, cache_dir: Optional[str]):
+    """(workload spec, its dense surface) of a point or amat unit."""
     spec = workload_from_payload(payload["workload"])
-    surface = get_store(cache_dir).surface(
+    return spec, get_store(cache_dir).surface(
         spec,
         policy=payload["policy"],
         n_accesses=payload["n_accesses"],
         seed=payload["seed"],
     )
+
+
+def run_point_unit(payload: dict, cache_dir: Optional[str] = None) -> dict:
+    """One calibration point read off the workload's dense surface."""
+    spec, surface = _unit_surface(payload, cache_dir)
     rate = surface.miss_rate(
         payload["level"], payload["size_kb"] * 1024, payload["assoc"]
     )
@@ -263,94 +217,32 @@ def run_point_unit(payload: dict, cache_dir: Optional[str] = None) -> dict:
     }
 
 
-def run_amat_unit(
-    payload: dict,
-    cache_dir: Optional[str] = None,
-    model_for: Optional[
-        Callable[[CacheConfig, int, str], CacheModel]
-    ] = None,
-) -> dict:
-    """Price one two-level shape (mirrors ``POST /v1/amat``).
+def run_amat_unit(payload: dict, cache_dir: Optional[str] = None) -> dict:
+    """Price one two-level shape (the ``POST /v1/amat`` answer).
 
-    Miss rates come from the campaign's own calibration surface; the
-    circuit models come from ``model_for`` (the daemon's shared LRU of
-    constructed :class:`CacheModel` objects, keyed by structure *and*
-    technology node) when injected.
+    Miss rates come from the campaign's own calibration surface, the
+    circuit models from the process's model map; the spec's
+    ``constraints`` add a ``feasible`` verdict and its ``violations``.
     """
-    spec = workload_from_payload(payload["workload"])
-    surface = get_store(cache_dir).surface(
-        spec,
-        policy=payload["policy"],
-        n_accesses=payload["n_accesses"],
-        seed=payload["seed"],
+    spec, surface = _unit_surface(payload, cache_dir)
+    node, style = payload["node"], payload["scaling_style"]
+    l1 = l1_config(payload["l1_size_kb"], associativity=payload["l1_assoc"])
+    l2 = l2_config(payload["l2_size_kb"], associativity=payload["l2_assoc"])
+    latency_ps = payload["memory_latency_ps"]
+    result = price_amat(
+        shared_model(l1, node, style),
+        knobs(payload["l1_knobs"]["vth"], payload["l1_knobs"]["tox"]),
+        shared_model(l2, node, style),
+        knobs(payload["l2_knobs"]["vth"], payload["l2_knobs"]["tox"]),
+        surface,
+        MainMemoryModel() if latency_ps is None
+        else MainMemoryModel(latency=siunits.ps(latency_ps)),
+        workload=spec.name, policy=payload["policy"], node=node,
+        scaling_style=style, l1_size_kb=payload["l1_size_kb"],
+        l2_size_kb=payload["l2_size_kb"], l1_assoc=payload["l1_assoc"],
+        l2_assoc=payload["l2_assoc"],
     )
-    node = int(payload.get("node", 65))
-    style = str(payload.get("scaling_style", "itrs"))
-    l1_shape = l1_config(
-        payload["l1_size_kb"], associativity=payload["l1_assoc"]
-    )
-    l2_shape = l2_config(
-        payload["l2_size_kb"], associativity=payload["l2_assoc"]
-    )
-    if model_for is not None:
-        l1_model = model_for(l1_shape, node, style)
-        l2_model = model_for(l2_shape, node, style)
-    else:
-        technology = node_technology(node, style)
-        l1_model = CacheModel(l1_shape, technology=technology)
-        l2_model = CacheModel(l2_shape, technology=technology)
-    l1_eval = l1_model.uniform(
-        knobs(payload["l1_knobs"]["vth"], payload["l1_knobs"]["tox"])
-    )
-    l2_eval = l2_model.uniform(
-        knobs(payload["l2_knobs"]["vth"], payload["l2_knobs"]["tox"])
-    )
-    memory = (
-        MainMemoryModel(latency=siunits.ps(payload["memory_latency_ps"]))
-        if payload.get("memory_latency_ps") is not None
-        else MainMemoryModel()
-    )
-    m1 = surface.l1_miss_rate(
-        l1_model.config.size_bytes, payload["l1_assoc"]
-    )
-    m2 = surface.l2_local_miss_rate(
-        l2_model.config.size_bytes, payload["l2_assoc"]
-    )
-    amat = amat_two_level(
-        l1_eval.access_time, m1, l2_eval.access_time, m2, memory.latency
-    )
-    energy = l1_eval.dynamic_read_energy + m1 * (
-        l2_eval.dynamic_read_energy + m2 * memory.energy_per_access
-    )
-    result = {
-        "workload": spec.name,
-        "policy": payload["policy"],
-        "node": node,
-        "scaling_style": style,
-        # float() everywhere a numpy scalar could leak through: results
-        # are checkpointed as JSON and must round-trip bit-identically.
-        "amat_ps": float(siunits.to_ps(amat)),
-        "energy_per_access_pj": float(siunits.to_pj(energy)),
-        "total_leakage_mw": float(siunits.to_mw(
-            l1_eval.leakage_power + l2_eval.leakage_power
-        )),
-        "memory_latency_ps": float(siunits.to_ps(memory.latency)),
-        "l1": {
-            "size_kb": payload["l1_size_kb"],
-            "associativity": payload["l1_assoc"],
-            "access_ps": float(siunits.to_ps(l1_eval.access_time)),
-            "leakage_mw": float(siunits.to_mw(l1_eval.leakage_power)),
-            "miss_rate": float(m1),
-        },
-        "l2": {
-            "size_kb": payload["l2_size_kb"],
-            "associativity": payload["l2_assoc"],
-            "access_ps": float(siunits.to_ps(l2_eval.access_time)),
-            "leakage_mw": float(siunits.to_mw(l2_eval.leakage_power)),
-            "local_miss_rate": float(m2),
-        },
-    }
-    constraints = payload.get("constraints") or {}
+    constraints = payload["constraints"]
     if constraints:
         violations = []
         max_amat = constraints.get("max_amat_ps")
@@ -427,9 +319,6 @@ class CampaignManager:
         jobs,
         metrics=None,
         cache_dir: Optional[str] = None,
-        model_for: Optional[
-            Callable[[CacheConfig, int, str], CacheModel]
-        ] = None,
         max_inflight: int = 4,
         unit_retries: int = 1,
         poll_interval: float = 0.02,
@@ -439,7 +328,6 @@ class CampaignManager:
         self._jobs = jobs
         self._metrics = metrics if metrics is not None else _NullMetrics()
         self._cache_dir = cache_dir
-        self._model_for = model_for
         self._max_inflight = max(1, max_inflight)
         self._unit_retries = max(0, unit_retries)
         self._poll_interval = poll_interval
@@ -861,8 +749,8 @@ class CampaignManager:
             args = (
                 [(m.unit_id, m.payload) for m in member_units],
                 unit.payload["cache"],
-                unit.payload.get("node", 65),
-                unit.payload.get("scaling_style", "itrs"),
+                unit.payload["node"],
+                unit.payload["scaling_style"],
             )
             fn = _sweep_group_task
         else:
@@ -913,9 +801,7 @@ class CampaignManager:
             if unit.kind == "point":
                 result = run_point_unit(unit.payload, self._cache_dir)
             else:
-                result = run_amat_unit(
-                    unit.payload, self._cache_dir, self._model_for
-                )
+                result = run_amat_unit(unit.payload, self._cache_dir)
         except Exception as error:  # noqa: BLE001 - unit fails, not the run
             self._record_failure(
                 campaign, unit.unit_id, f"{type(error).__name__}: {error}"
@@ -1017,7 +903,7 @@ class CampaignManager:
                 "unit_id": best["unit_id"],
                 "workload": best["workload"],
                 "policy": best["policy"],
-                "node": best.get("node", 65),
+                "node": best["node"],
                 "l1_size_kb": best["l1"]["size_kb"],
                 "l1_assoc": best["l1"]["associativity"],
                 "l2_size_kb": best["l2"]["size_kb"],

@@ -26,6 +26,8 @@ first.
 * :func:`orphaned` / :func:`owned_by_sibling` judge the owner's
   liveness by pid *and* incarnation (:func:`repro.procutil
   .owner_alive`), so a recycled pid never masks a dead owner.
+  Within one process, another work table's record (``owner_instance``)
+  is a live sibling's until that table closes.
 * :func:`client_view` strips the bookkeeping fields and labels the
   record with ``served_by`` (and an optional ``note``).
 * :func:`long_poll` re-reads a remote record every
@@ -42,6 +44,7 @@ import itertools
 import os
 import threading
 import time
+import weakref
 from typing import Callable, Dict, Optional
 
 from repro.errors import ServiceUnavailableError, ValidationError
@@ -69,6 +72,9 @@ TERMINAL = tuple(status for status, exits in TRANSITIONS.items()
 
 #: Re-read interval of a long-poll against a remote record.
 POLL_SECONDS = 0.25
+
+#: This process's work tables by instance (a collected one is dead).
+_open_tables = weakref.WeakValueDictionary()
 
 #: Bookkeeping fields a client never sees.
 _HIDDEN = (
@@ -133,12 +139,14 @@ def orphaned(record: dict) -> bool:
 
 
 def owned_by_sibling(record: dict) -> bool:
-    """True when another live process (same incarnation) owns the record."""
+    """True when another live process (same incarnation) or another
+    still-open :class:`WorkTable` of this process owns the record."""
     pid = _owner_pid(record)
-    return (
-        pid is not None
-        and pid != os.getpid()
-        and owner_alive(pid, record.get("owner_start_ticks"))
+    if pid == os.getpid():
+        table = _open_tables.get(str(record.get("owner_instance")))
+        return table is not None and not table.closed
+    return pid is not None and owner_alive(
+        pid, record.get("owner_start_ticks")
     )
 
 
@@ -210,6 +218,7 @@ class WorkTable:
         # are unique across every worker sharing one store and across
         # restarts.
         self._instance = os.urandom(4).hex()
+        _open_tables[self._instance] = self
         self._ids = itertools.count(1)
         # Held around every snapshot-and-write, so records land in
         # snapshot order and verdicts are serialised.

@@ -29,11 +29,9 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Hashable, List, Optional, Tuple
 
-import numpy as np
-
-from repro.errors import ReproError
+from repro.answers import MAX_UNION_POINTS, slice_grid
 from repro.cache.assignment import COMPONENT_NAMES
 from repro.optimize.single_cache import _compute_component_tables
 from repro.optimize.space import DesignSpace
@@ -41,8 +39,7 @@ from repro.perf.table_cache import cached_tables
 
 from repro.service.metrics import MetricsRegistry, SIZE_BUCKETS
 
-#: Ceiling on a union grid; beyond it the batch is computed per-request.
-MAX_UNION_POINTS = 65_536
+__all__ = ["MAX_UNION_POINTS", "SweepBatcher", "slice_grid"]
 
 
 @dataclass
@@ -70,7 +67,7 @@ class SweepBatcher:
         self._window = window_seconds
         self._max_batch = max_batch
         self._lock = threading.Lock()
-        self._pending: Dict[str, List[_Entry]] = {}
+        self._pending: Dict[Hashable, List[_Entry]] = {}
 
     def _counted_compute(self, model, space):
         """The table-cache miss path — the only place engine work happens."""
@@ -85,7 +82,7 @@ class SweepBatcher:
 
     def tables_for(
         self,
-        key: str,
+        key: Hashable,
         model,
         vths: Tuple[float, ...],
         toxes_angstrom: Tuple[float, ...],
@@ -93,9 +90,10 @@ class SweepBatcher:
         """Return (component tables, space they were computed on).
 
         The returned space covers at least the requested axes; use
-        :func:`slice_grid` to cut the request's own grid out of it.
-        ``key`` identifies the cache structure (requests with different
-        keys never share an engine call).
+        :func:`repro.answers.slice_grid` to cut the request's own grid
+        out of it.  ``key`` identifies the model
+        (:func:`repro.answers.model_key`; requests with different keys
+        never share an engine call).
         """
         self._metrics.increment("sweep.requests")
         entry = _Entry(vths=vths, toxes=toxes_angstrom)
@@ -168,35 +166,3 @@ class SweepBatcher:
             if member is not entry:
                 member.event.set()
         return entry.tables, entry.space
-
-
-def slice_grid(
-    tables: dict,
-    space: DesignSpace,
-    vths: Tuple[float, ...],
-    toxes_angstrom: Tuple[float, ...],
-    component: str,
-) -> Dict[str, np.ndarray]:
-    """Cut one request's (Vth, Tox) grid out of union component tables.
-
-    The component tables hold flat arrays in Vth-major order over
-    ``space``; the result is three 2-D arrays of shape
-    ``(len(vths), len(toxes_angstrom))``.
-    """
-    table = tables[component]
-    n_vth = len(space.vth_values)
-    n_tox = len(space.tox_values_angstrom)
-    vth_index = np.searchsorted(np.asarray(space.vth_values), vths)
-    tox_index = np.searchsorted(
-        np.asarray(space.tox_values_angstrom), toxes_angstrom
-    )
-    if (vth_index >= n_vth).any() or (tox_index >= n_tox).any():
-        raise ReproError(
-            "requested axes are not contained in the union grid"
-        )  # pragma: no cover - the union is built from the requests
-    window = np.ix_(vth_index, tox_index)
-    return {
-        "delay": table.delays.reshape(n_vth, n_tox)[window],
-        "leakage": table.leakages.reshape(n_vth, n_tox)[window],
-        "energy": table.energies.reshape(n_vth, n_tox)[window],
-    }

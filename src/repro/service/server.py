@@ -6,6 +6,11 @@ evaluation-table cache, the calibration disk cache, and the constructed
 :class:`~repro.cache.cache_model.CacheModel` objects all live for the
 process lifetime and are shared — thread-safely — by every request.
 
+The sweep, optimize and AMAT handlers only parse and dispatch: each
+answer is built by :mod:`repro.answers`, the same builder a campaign's
+sweep, optimize or amat unit calls, on a model from that module's one
+process-wide model map.
+
 Endpoints (see ``docs/SERVICE.md`` for the full reference):
 
 ========================  ====================================================
@@ -32,10 +37,8 @@ or cancel in-flight calibration jobs before the process exits.
 from __future__ import annotations
 
 import json
-import os
 import signal
 import socket as socket_module
-import sys
 import threading
 import time
 import urllib.parse
@@ -45,13 +48,20 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro import units
+from repro.answers import (
+    model_key,
+    optimize_answer,
+    optimize_head,
+    price_amat,
+    shared_model,
+    sweep_answer,
+)
 from repro.errors import (
     InfeasibleConstraintError,
     ReproError,
     ServiceUnavailableError,
     ValidationError,
 )
-from repro.archsim.amat import amat_two_level
 from repro.archsim.missmodel import (
     REFERENCE_L1_ASSOC,
     REFERENCE_L2_ASSOC,
@@ -64,18 +74,16 @@ from repro.archsim.missmodel import (
     peek_miss_model,
 )
 from repro.archsim.workloads import WorkloadSpec, standard_workload
-from repro.cache.cache_model import CacheModel
 from repro.campaign.runner import CampaignManager
-from repro.cache.config import CacheConfig
 from repro.energy.dynamic import MainMemoryModel
-from repro.optimize.single_cache import minimize_leakage
-from repro.optimize.space import DesignSpace
+# Not called here (the optimize solve runs in repro.answers): the
+# benchmark's traced daemon (perfbench/layers.py) wraps this name.
+from repro.optimize.single_cache import minimize_leakage  # noqa: F401
 from repro.perf import cache_info, disk_cache_info, profile_store_info
 from repro.perf.profile_store import get_store
-from repro.technology.nodes import node_technology
 
 from repro.service import schemas
-from repro.service.batching import SweepBatcher, slice_grid
+from repro.service.batching import SweepBatcher
 from repro.service.cluster import WorkerMetricsBoard, cluster_view
 from repro.service.jobs import JobManager
 from repro.service.metrics import MetricsRegistry
@@ -185,18 +193,12 @@ def _calibration_task(
     return _calibration_result(model, n_accesses, seed, policy)
 
 
-def _grid_to_lists(grid) -> list:
-    return [[float(value) for value in row] for row in grid]
-
-
 class ReproService:
     """The transport-independent core: validated request -> response dict.
 
     The HTTP handler below is a thin shell over :meth:`handle`; tests can
     drive this object directly without opening a socket.
     """
-
-    MAX_MODELS = 32
 
     def __init__(self, config: ServiceConfig) -> None:
         self.config = config
@@ -241,14 +243,10 @@ class ReproService:
                 name="repro-metrics-flusher",
                 daemon=True,
             ).start()
-        self._models: "OrderedDict[str, CacheModel]" = OrderedDict()
-        self._models_lock = threading.Lock()
         self.campaigns = CampaignManager(
             jobs=self.jobs,
             metrics=self.metrics,
             cache_dir=config.cache_dir,
-            model_for=lambda cache_config, node=65, scaling_style="itrs":
-                self._model_for(cache_config, node, scaling_style)[1],
             max_inflight=config.campaign_fanout,
             unit_retries=config.campaign_unit_retries,
             # The recovery hook: lets any worker re-parse a persisted
@@ -322,188 +320,70 @@ class ReproService:
             with self._warm_lock:
                 self._warm_state[name] = verdict
 
-    # -- shared model state ------------------------------------------------
-
-    def _model_for(
-        self,
-        config: CacheConfig,
-        node: int = 65,
-        scaling_style: str = "itrs",
-    ) -> Tuple[str, CacheModel]:
-        """Return (structure key, shared CacheModel) for a validated config.
-
-        The key deliberately excludes ``name`` so differently-labelled
-        requests for the same structure share one model *and* one batch —
-        but it *must* include the technology identity: the same geometry
-        at two nodes is two different circuits, and sharing a model (or
-        a batch) across nodes would serve one node's numbers for the
-        other.
-        """
-        key = repr(
-            (
-                config.size_bytes,
-                config.block_bytes,
-                config.associativity,
-                config.output_bits,
-                node,
-                scaling_style,
-            )
-        )
-        with self._models_lock:
-            model = self._models.get(key)
-            if model is not None:
-                self._models.move_to_end(key)
-                return key, model
-        # Build outside the lock (construction sizes the whole circuit
-        # substrate); worst case two threads build and one wins.
-        model = CacheModel(
-            config, technology=node_technology(node, scaling_style)
-        )
-        with self._models_lock:
-            incumbent = self._models.get(key)
-            if incumbent is not None:
-                return key, incumbent
-            self._models[key] = model
-            while len(self._models) > self.MAX_MODELS:
-                self._models.popitem(last=False)
-        return key, model
-
     # -- endpoint implementations ------------------------------------------
 
     def handle_sweep(self, body) -> Tuple[int, dict]:
         request = schemas.parse_sweep(body)
-        key, model = self._model_for(
-            request.config, request.node, request.scaling_style
-        )
+        identity = (request.config, request.node, request.scaling_style)
         tables, space = self.batcher.tables_for(
-            key, model, request.vths, request.toxes_angstrom
+            model_key(*identity), shared_model(*identity),
+            request.vths, request.toxes_angstrom,
         )
-        components = {}
-        for name in request.components:
-            sliced = slice_grid(
-                tables, space, request.vths, request.toxes_angstrom, name
-            )
-            components[name] = {
-                "delay_ps": _grid_to_lists(units.to_ps(sliced["delay"])),
-                "leakage_mw": _grid_to_lists(
-                    units.to_mw(sliced["leakage"])
-                ),
-                "energy_pj": _grid_to_lists(units.to_pj(sliced["energy"])),
-            }
-        return 200, {
-            "cache": request.config.name,
-            "node": request.node,
-            "scaling_style": request.scaling_style,
-            "vth": list(request.vths),
-            "tox_angstrom": list(request.toxes_angstrom),
-            "components": components,
-        }
+        return 200, sweep_answer(
+            tables, space, request.vths, request.toxes_angstrom,
+            request.components, request.config.name, request.node,
+            request.scaling_style,
+        )
 
     def handle_optimize(self, body) -> Tuple[int, dict]:
         request = schemas.parse_optimize(body)
-        _, model = self._model_for(
-            request.config, request.node, request.scaling_style
+        head = optimize_head(
+            request.config.name, request.node, request.scaling_style,
+            request.scheme, units.to_ps(request.max_access_time),
         )
-        space = None
-        if request.vths is not None:
-            space = DesignSpace.for_technology(
-                model.technology,
-                vth_values=request.vths,
-                tox_values_angstrom=request.toxes_angstrom,
-            )
-        result = minimize_leakage(
-            model, request.scheme, request.max_access_time, space=space
+        return 200, optimize_answer(
+            shared_model(
+                request.config, request.node, request.scaling_style
+            ),
+            request.scheme, request.max_access_time, head,
+            request.vths, request.toxes_angstrom,
         )
-        return 200, {
-            "cache": request.config.name,
-            "node": request.node,
-            "scaling_style": request.scaling_style,
-            "scheme": result.scheme.paper_name,
-            "target_ps": units.to_ps(request.max_access_time),
-            "access_ps": units.to_ps(result.access_time),
-            "slack_ps": units.to_ps(result.slack),
-            "leakage_mw": units.to_mw(result.leakage_power),
-            "assignment": {
-                name: {"vth": point.vth,
-                       "tox_angstrom": point.tox_angstrom}
-                for name, point in result.assignment.components()
-            },
-        }
 
     def handle_amat(self, body) -> Tuple[int, dict]:
         request = schemas.parse_amat(body)
-        l1_assoc = request.l1.associativity
-        l2_assoc = request.l2.associativity
         # Non-reference shapes need the associativity-complete surface
         # models; reference requests keep the committed tables.
         need_surface = (
-            l1_assoc != REFERENCE_L1_ASSOC or l2_assoc != REFERENCE_L2_ASSOC
+            request.l1.associativity != REFERENCE_L1_ASSOC
+            or request.l2.associativity != REFERENCE_L2_ASSOC
         )
-        if request.workload is not None:
-            miss_model = (
-                calibrated_miss_surface(
-                    request.workload,
-                    request.policy,
-                    cache_dir=self.config.cache_dir,
-                )
-                if need_surface
-                else calibrated_miss_model(request.workload, request.policy)
-            )
-        else:
+        if request.workload is None:
             miss_model = blended_miss_model(
-                dict(request.blend_weights),
-                request.policy,
-                surface=need_surface,
+                dict(request.blend_weights), request.policy,
+                surface=need_surface, cache_dir=self.config.cache_dir,
+            )
+        elif need_surface:
+            miss_model = calibrated_miss_surface(
+                request.workload, request.policy,
                 cache_dir=self.config.cache_dir,
             )
-        technology = node_technology(request.node, request.scaling_style)
-        l1_model = CacheModel(request.l1, technology=technology)
-        l2_model = CacheModel(request.l2, technology=technology)
-        l1_eval = l1_model.uniform(request.l1_knobs)
-        l2_eval = l2_model.uniform(request.l2_knobs)
-        memory = (
-            MainMemoryModel(latency=request.memory_latency)
-            if request.memory_latency is not None
-            else MainMemoryModel()
+        else:
+            miss_model = calibrated_miss_model(
+                request.workload, request.policy
+            )
+        return 200, price_amat(
+            shared_model(request.l1, request.node, request.scaling_style),
+            request.l1_knobs,
+            shared_model(request.l2, request.node, request.scaling_style),
+            request.l2_knobs,
+            miss_model,
+            MainMemoryModel() if request.memory_latency is None
+            else MainMemoryModel(latency=request.memory_latency),
+            workload=miss_model.workload, policy=request.policy,
+            node=request.node, scaling_style=request.scaling_style,
+            l1_size_kb=request.l1_size_kb, l2_size_kb=request.l2_size_kb,
+            l1_assoc=request.l1_assoc, l2_assoc=request.l2_assoc,
         )
-        m1 = miss_model.l1_miss_rate(
-            l1_model.config.size_bytes, associativity=request.l1_assoc
-        )
-        m2 = miss_model.l2_local_miss_rate(
-            l2_model.config.size_bytes, associativity=request.l2_assoc
-        )
-        amat = amat_two_level(
-            l1_eval.access_time, m1, l2_eval.access_time, m2, memory.latency
-        )
-        energy = l1_eval.dynamic_read_energy + m1 * (
-            l2_eval.dynamic_read_energy + m2 * memory.energy_per_access
-        )
-        return 200, {
-            "workload": miss_model.workload,
-            "policy": request.policy,
-            "node": request.node,
-            "scaling_style": request.scaling_style,
-            "amat_ps": units.to_ps(amat),
-            "energy_per_access_pj": units.to_pj(energy),
-            "total_leakage_mw": units.to_mw(
-                l1_eval.leakage_power + l2_eval.leakage_power
-            ),
-            "memory_latency_ps": units.to_ps(memory.latency),
-            "l1": {
-                "size_kb": request.l1_size_kb,
-                "associativity": l1_assoc,
-                "access_ps": units.to_ps(l1_eval.access_time),
-                "leakage_mw": units.to_mw(l1_eval.leakage_power),
-                "miss_rate": m1,
-            },
-            "l2": {
-                "size_kb": request.l2_size_kb,
-                "associativity": l2_assoc,
-                "access_ps": units.to_ps(l2_eval.access_time),
-                "leakage_mw": units.to_mw(l2_eval.leakage_power),
-                "local_miss_rate": m2,
-            },
-        }
 
     def handle_calibrate(self, body) -> Tuple[int, dict]:
         request = schemas.parse_calibrate(body)

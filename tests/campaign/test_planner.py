@@ -173,9 +173,9 @@ class TestGrouping:
         assert all(unit.heavy for unit in plan.units)
 
     def test_union_ceiling_splits_groups(self, tmp_path, monkeypatch):
-        import repro.service.batching as batching
+        import repro.campaign.planner as planner
 
-        monkeypatch.setattr(batching, "MAX_UNION_POINTS", 4)
+        monkeypatch.setattr(planner, "MAX_UNION_POINTS", 4)
         plan = build_plan(
             spec(sweeps=(
                 sweep(vths=(0.20, 0.25), toxes=(10.0, 12.0)),

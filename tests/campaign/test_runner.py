@@ -548,6 +548,33 @@ class TestRecovery:
         observer.shutdown()
         owner.shutdown()
 
+    def test_same_process_sibling_is_served_not_adopted(self, tmp_path):
+        """Two managers in one process: a GET of the other's running
+        campaign serves its record and starts no coordinator."""
+        spec = make_spec(matrix=MATRIX)
+        jobs = ManualJobs()
+        owner = manager(jobs, tmp_path, spec_parser=self._parser(spec))
+        campaign_id = owner.submit(
+            spec, spec_body=self.SPEC_BODY
+        )["campaign_id"]
+        wait_until(lambda: jobs.pending)
+
+        observer_jobs = InlineJobs()
+        observer = manager(observer_jobs, tmp_path,
+                           spec_parser=self._parser(spec))
+        snapshot = observer.get(campaign_id)
+        assert snapshot["status"] == "running"
+        assert "another worker" in snapshot["note"]
+        assert "adopted" not in snapshot
+        assert observer.active_count() == 0
+        assert observer_jobs.counter == 0
+        # The owner still runs it to the end.
+        for job_id in list(jobs.pending):
+            jobs.finish(job_id)
+        assert owner.wait(campaign_id, 30.0)["status"] == "done"
+        observer.shutdown()
+        owner.shutdown()
+
     def test_unknown_campaign_is_still_a_404(self, tmp_path):
         from repro.errors import ValidationError
 

@@ -144,6 +144,20 @@ class TestLiveness:
                 {"owner_pid": 1, "owner_start_ticks": 123456789}
             )
 
+    def test_open_table_of_this_process_is_a_sibling(self, tmp_path):
+        """A record another table of this process wrote is a live
+        sibling's until that table closes; then its owner is dead."""
+        table = _table(tmp_path)
+        item = table.add(_Item(table.new_id(), status="running"))
+        record = records.read(
+            DiskCache("items", directory=tmp_path),
+            f"item-record:{item.item_id}", "item_id",
+        )
+        assert record["owner_pid"] == os.getpid()
+        assert records.owned_by_sibling(record)
+        table.close()
+        assert not records.owned_by_sibling(record)
+
 
 @dataclass
 class _Item:

@@ -25,7 +25,8 @@ port file, then asserts the service contract:
   checkpoints (``units.reused`` covers everything the first run
   completed) and finishes, an over-budget spec gets a structured 400
   naming the offending axis product, and the campaign counters appear
-  in ``/metrics``,
+  in ``/metrics``; a campaign sweep unit's result equals a direct
+  ``/v1/sweep`` of the same body,
 * SIGTERM produces a graceful exit (code 0, jobs drained).
 
 ``--workers N`` runs the same contract against a forked multi-worker
@@ -375,6 +376,26 @@ def check_campaigns(client: ServiceClient, cluster: bool = False) -> None:
           f"cancel after {finished}/{total} units; resubmission reused "
           f"{final['units']['reused']} checkpointed units and finished "
           f"with {final['engine_passes']} engine passes")
+
+    # A campaign sweep unit and POST /v1/sweep share one answer path:
+    # the same body must come back as the same JSON from both.
+    body = {"cache": {"size_kb": 32, "name": "smoke-parity"},
+            "vth": [0.3, 0.35], "tox": [12.0, 14.0],
+            "components": ["array", "decoder"]}
+    parity = client.submit_campaign({"name": "smoke-sweep-parity",
+                                     "sweeps": [body]})
+    parity = client.wait_for_campaign(parity["campaign_id"], timeout=120.0)
+    if parity["status"] != "done":
+        _fail(f"sweep parity campaign ended {parity['status']!r}: "
+              f"{parity.get('failures')}")
+    (unit,) = parity["results"]["sweep"]
+    unit = {key: value for key, value in unit.items() if key != "unit_id"}
+    direct = client.request("POST", "/v1/sweep", body)
+    if json.dumps(unit, sort_keys=True) != json.dumps(direct, sort_keys=True):
+        _fail("campaign sweep unit differs from a direct /v1/sweep of the "
+              "same body")
+    print("  campaigns: a sweep unit's result equals /v1/sweep of the "
+          "same body")
 
 
 def run_subprocess(timeout: float = 60.0, workers: int = 1) -> int:
