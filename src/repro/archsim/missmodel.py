@@ -13,19 +13,21 @@ L2 64 B blocks / 8-way, the L2 curve measured behind a 16 KB L1).  The
 test suite re-measures them against a live simulation with a tolerance,
 so the table cannot silently drift from the simulator.
 
-Calibration takes one exact route per replacement policy.  LRU grids
-are answered by one per-set Mattson pass over the trace
-(:func:`_setdist_rates`, :mod:`repro.archsim.setdist`), whose cost does
-not grow with the number of grid points; FIFO and random grids by one
+Calibration takes one route, :func:`_shape_rates`, over canonical
+``(level, n_sets, assoc)`` shapes; grids and the profile store's dense
+surfaces both go through it.  LRU shapes are answered by one per-set
+Mattson pass over the trace (:mod:`repro.archsim.setdist`), whose cost
+does not grow with the number of shapes; FIFO and random shapes by one
 :class:`~repro.archsim.multiconfig.MultiConfigHierarchyEngine` sweep
-(:func:`_multiconfig_rates` — one address decode, shared set indices,
-the reference L1 in front of the L2 grid simulated once).  Both are
-bit-identical to one
+(one address decode, shared set indices, the reference L1 in front of
+every L2 shape simulated once).  Both are bit-identical to one
 :class:`~repro.archsim.hierarchy.ArrayTwoLevelHierarchy` run per point,
-the oracle the test suite compares them against.  The measured curves
-are memoised on disk keyed by a fingerprint of every input (workload
-spec, trace length, seed, grids, reference shapes, policy) — a warm
-re-calibration is a file read.
+the oracle the test suite compares them against.  Every model — a
+measured grid, a surface slice, a blend — is assembled by
+:func:`_model_from_rates`.  The measured curves are memoised on disk
+keyed by a fingerprint of every input (workload spec, trace length,
+seed, grids, reference shapes, policy) — a warm re-calibration is a
+file read.
 
 Note the L2 *local* miss-rate convention: misses over L2 accesses.  The
 curves bake in the reference L1's filtering; Section 5's experiments vary
@@ -49,11 +51,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import SimulationError
+from repro.archsim import setdist
 from repro.archsim.multiconfig import MultiConfigHierarchyEngine
 from repro.archsim.replacement import check_policy
 from repro.archsim.setdist import _DEPTH_CAP_LIMIT
@@ -76,6 +79,10 @@ REFERENCE_L1_KB = 16
 REFERENCE_L2_KB = 1024
 #: Block size per level: every calibration point uses its level's.
 _BLOCK = {"l1": REFERENCE_L1_BLOCK, "l2": REFERENCE_L2_BLOCK}
+#: Set count of the reference L1 (the filter in front of every L2 shape).
+_REFERENCE_L1_SETS = REFERENCE_L1_KB * 1024 // (
+    REFERENCE_L1_BLOCK * REFERENCE_L1_ASSOC
+)
 
 #: Sizes (KiB) on the calibration grid.
 L1_GRID_KB: Tuple[int, ...] = (4, 8, 16, 32, 64)
@@ -186,68 +193,100 @@ def _point_assoc(level: str, assoc: Optional[int]) -> int:
     return REFERENCE_L1_ASSOC if level == "l1" else REFERENCE_L2_ASSOC
 
 
-def _normalize_point(point) -> Tuple[str, int, int]:
-    """Accept ``(level, kb)`` or ``(level, kb, assoc)``; return the latter."""
-    if len(point) == 2:
-        level, kb = point
-        assoc = None
-    else:
-        level, kb, assoc = point
-    return level, kb, _point_assoc(level, assoc)
+def _config(level: str, size_bytes: int, assoc: int) -> CacheConfig:
+    """One calibration cache of ``level`` at its reference block size."""
+    return CacheConfig(
+        size_bytes=size_bytes,
+        block_bytes=_BLOCK[level],
+        associativity=assoc,
+        name=level.upper(),
+    )
 
 
 def _point_configs(
     level: str, kb: int, assoc: Optional[int] = None
 ) -> Tuple[CacheConfig, CacheConfig]:
     """L1/L2 shapes for one calibration point (vary one level at a time)."""
-    assoc = _point_assoc(level, assoc)
-    l1_kb, l1_assoc = (
-        (kb, assoc) if level == "l1" else (REFERENCE_L1_KB, REFERENCE_L1_ASSOC)
-    )
-    l2_kb, l2_assoc = (
-        (kb, assoc) if level == "l2" else (REFERENCE_L2_KB, REFERENCE_L2_ASSOC)
-    )
-    return (
-        CacheConfig(
-            size_bytes=l1_kb * 1024,
-            block_bytes=REFERENCE_L1_BLOCK,
-            associativity=l1_assoc,
-            name="L1",
-        ),
-        CacheConfig(
-            size_bytes=l2_kb * 1024,
-            block_bytes=REFERENCE_L2_BLOCK,
-            associativity=l2_assoc,
-            name="L2",
-        ),
-    )
+    varied = _config(level, kb * 1024, _point_assoc(level, assoc))
+    if level == "l1":
+        return varied, _config(
+            "l2", REFERENCE_L2_KB * 1024, REFERENCE_L2_ASSOC
+        )
+    return _config("l1", REFERENCE_L1_KB * 1024, REFERENCE_L1_ASSOC), varied
 
 
-def _multiconfig_rates(
-    points: Sequence[Tuple], trace, policy: str
+def _calibration_trace(spec: WorkloadSpec, n_accesses: int, seed: int):
+    """The trace every calibration of (spec, n_accesses, seed) replays."""
+    return synthetic_trace_buffer(spec, n_accesses, seed=seed, block_bytes=64)
+
+
+def _shape_rates(
+    shapes: Sequence[Tuple[str, int, int]], trace, policy: str
 ) -> List[float]:
-    """FIFO or random rates for every (level, size[, assoc]) point in one sweep.
+    """Exact local miss rate of every ``(level, n_sets, assoc)`` shape.
 
-    L1-curve points only contribute their L1 miss rate, so their shared
-    reference L2 is elided entirely (``l2_config=None``): the engine
-    simulates each distinct L1 shape once as a lane and the reference L1
-    feeding the whole L2 grid once, instead of one full hierarchy per
-    point.  Rates are bit-identical to per-point
-    :class:`~repro.archsim.hierarchy.ArrayTwoLevelHierarchy` runs:
-    random-policy rng streams live per cache, so the sweep matches each
-    point's own seeded draws.
+    The one calibration route: grids (:func:`measure_miss_model`) and
+    the profile store's dense surfaces
+    (:func:`repro.perf.profile_store._compute_surface`) both call it.
+    L1 shapes are measured on their own, L2 shapes behind the reference
+    L1, each level at its reference block size.
+
+    * LRU makes one :func:`repro.archsim.setdist.two_level_profiles`
+      call: one contraction cascade covers every L1 shape, and the
+      reference L1's miss + dirty write-back stream is replayed exactly
+      through a second cascade for every L2 shape, at a cost that does
+      not grow with the number of shapes.  Depth histograms are exact
+      per (set count, depth), so the profiled depth window never
+      changes a rate.
+    * FIFO and random make one
+      :class:`~repro.archsim.multiconfig.MultiConfigHierarchyEngine`
+      pass: every distinct L1 shape runs as a lane with no L2, and the
+      reference L1 is simulated once in front of every L2 shape.
+      Random-policy rng streams live per cache, so the pass matches
+      each shape's own seeded draws.
+
+    Either way every rate is bit-identical to one
+    :class:`~repro.archsim.hierarchy.ArrayTwoLevelHierarchy` run per
+    shape.
     """
-    normalized = [_normalize_point(point) for point in points]
+    if policy == "lru":
+        set_counts: Dict[str, set] = {"l1": set(), "l2": set()}
+        # The reference L1 replay needs its own associativity inside the
+        # L1 profiling window, so that window spans the reference too.
+        assocs: Dict[str, List[int]] = {"l1": [REFERENCE_L1_ASSOC], "l2": []}
+        for level, sets, assoc in shapes:
+            set_counts[level].add(sets)
+            assocs[level].append(assoc)
+        assocs["l2"] = assocs["l2"] or [REFERENCE_L2_ASSOC]
+        l1_profiles, l2_profiles = setdist.two_level_profiles(
+            trace,
+            l1_set_counts=sorted(set_counts["l1"]),
+            l2_set_counts=sorted(set_counts["l2"]),
+            ref_sets=_REFERENCE_L1_SETS,
+            ref_assoc=REFERENCE_L1_ASSOC,
+            l1_block_bytes=REFERENCE_L1_BLOCK,
+            l2_block_bytes=REFERENCE_L2_BLOCK,
+            l1_depth_cap=max(assocs["l1"]),
+            l2_depth_cap=max(assocs["l2"]),
+            l1_min_assoc=min(assocs["l1"]),
+            l2_min_assoc=min(assocs["l2"]),
+        )
+        profiles = {"l1": l1_profiles, "l2": l2_profiles}
+        return [
+            profiles[level][sets].miss_rate(assoc)
+            for level, sets, assoc in shapes
+        ]
+    reference_l1 = _config("l1", REFERENCE_L1_KB * 1024, REFERENCE_L1_ASSOC)
     engine_points = []
-    for level, kb, assoc in normalized:
-        l1_config, l2_config = _point_configs(level, kb, assoc)
+    for level, sets, assoc in shapes:
+        config = _config(level, sets * assoc * _BLOCK[level], assoc)
         engine_points.append(
-            (l1_config, None) if level == "l1" else (l1_config, l2_config)
+            (config, None) if level == "l1" else (reference_l1, config)
         )
     results = MultiConfigHierarchyEngine(engine_points, policy).run(trace)
     return [
         result.l1_miss_rate if level == "l1" else result.l2_local_miss_rate
-        for (level, _, _), result in zip(normalized, results)
+        for (level, _, _), result in zip(shapes, results)
     ]
 
 
@@ -275,66 +314,6 @@ def _calibration_fingerprint(
         tuple(l1_assocs),
         tuple(l2_assocs),
     )
-
-
-def _setdist_rates(
-    points: Sequence[Tuple], trace
-) -> List[float]:
-    """Exact LRU rates for every (level, size[, assoc]) point in one pass.
-
-    The per-set Mattson profiler (:mod:`repro.archsim.setdist`) turns
-    each point into a ``(n_sets, assoc)`` lookup on its level's block
-    size: one contraction cascade over the trace covers the whole L1
-    grid, the reference L1's miss + dirty write-back stream is replayed
-    exactly through a second cascade for the L2 grid, and every rate is
-    bit-identical to a per-point
-    :class:`~repro.archsim.hierarchy.ArrayTwoLevelHierarchy` run under
-    LRU — at a cost that is independent of how many grid points are
-    requested.  Depth histograms are exact per (set count, depth), so
-    the profiled depth-cap/min-assoc window never changes any rate.
-    """
-    from repro.archsim.setdist import two_level_profiles
-
-    normalized = [_normalize_point(point) for point in points]
-    set_counts = {
-        (level, kb, assoc): sets_for(
-            level, kb * 1024, assoc, block_bytes=_BLOCK[level]
-        )
-        for level, kb, assoc in set(normalized)
-    }
-    l1_set_counts = sorted(
-        {sets for (level, _, _), sets in set_counts.items() if level == "l1"}
-    )
-    l2_set_counts = sorted(
-        {sets for (level, _, _), sets in set_counts.items() if level == "l2"}
-    )
-    # The reference L1 replay needs its own associativity inside the L1
-    # profiling window, so the window spans the requested assocs plus
-    # the reference shape.
-    l1_assocs = [a for level, _, a in normalized if level == "l1"]
-    l1_assocs.append(REFERENCE_L1_ASSOC)
-    l2_assocs = [a for level, _, a in normalized if level == "l2"]
-    l2_assocs = l2_assocs or [REFERENCE_L2_ASSOC]
-    l1_profiles, l2_profiles = two_level_profiles(
-        trace,
-        l1_set_counts=l1_set_counts,
-        l2_set_counts=l2_set_counts,
-        ref_sets=sets_for("l1", REFERENCE_L1_KB * 1024, REFERENCE_L1_ASSOC,
-                          block_bytes=REFERENCE_L1_BLOCK),
-        ref_assoc=REFERENCE_L1_ASSOC,
-        l1_block_bytes=REFERENCE_L1_BLOCK,
-        l2_block_bytes=REFERENCE_L2_BLOCK,
-        l1_depth_cap=max(l1_assocs),
-        l2_depth_cap=max(l2_assocs),
-        l1_min_assoc=min(l1_assocs),
-        l2_min_assoc=min(l2_assocs),
-    )
-    return [
-        l1_profiles[set_counts[point]].miss_rate(point[2])
-        if point[0] == "l1"
-        else l2_profiles[set_counts[point]].miss_rate(point[2])
-        for point in normalized
-    ]
 
 
 def _validate_assocs(
@@ -391,54 +370,39 @@ def _grid_points(
     return points
 
 
-def _build_model(
-    spec_name: str,
-    rates: Sequence[float],
-    points: Sequence[Tuple[str, int, int]],
+def _model_from_rates(
+    workload: str,
+    rate: Callable[[str, int, int], float],
     l1_grid_kb: Sequence[int],
     l2_grid_kb: Sequence[int],
-    l1_assocs: Sequence[int],
-    l2_assocs: Sequence[int],
-    with_l1_axis: bool,
-    with_l2_axis: bool,
+    l1_axis: Sequence[int],
+    l2_axis: Sequence[int],
 ) -> MissRateModel:
-    """Assemble a model from per-point rates (assoc curves on demand)."""
-    curves = dict(zip(points, rates))
+    """Assemble a model from ``rate(level, kb, assoc)``.
+
+    The plain curves are taken at the reference associativities; one
+    assoc curve per entry of ``l1_axis`` / ``l2_axis`` (empty: none).
+    """
+
+    def curve(level: str, grid_kb: Sequence[int], assoc: int):
+        return tuple((kb * 1024, rate(level, kb, assoc)) for kb in grid_kb)
+
     return MissRateModel(
-        workload=spec_name,
-        l1_curve=tuple(
-            (kb * 1024, curves[("l1", kb, REFERENCE_L1_ASSOC)])
-            for kb in l1_grid_kb
-        ),
-        l2_curve=tuple(
-            (kb * 1024, curves[("l2", kb, REFERENCE_L2_ASSOC)])
-            for kb in l2_grid_kb
-        ),
+        workload=workload,
+        l1_curve=curve("l1", l1_grid_kb, REFERENCE_L1_ASSOC),
+        l2_curve=curve("l2", l2_grid_kb, REFERENCE_L2_ASSOC),
         l1_assoc_curves=tuple(
-            (
-                assoc,
-                tuple(
-                    (kb * 1024, curves[("l1", kb, assoc)])
-                    for kb in l1_grid_kb
-                ),
-            )
-            for assoc in l1_assocs
-        )
-        if with_l1_axis
-        else (),
+            (assoc, curve("l1", l1_grid_kb, assoc)) for assoc in l1_axis
+        ),
         l2_assoc_curves=tuple(
-            (
-                assoc,
-                tuple(
-                    (kb * 1024, curves[("l2", kb, assoc)])
-                    for kb in l2_grid_kb
-                ),
-            )
-            for assoc in l2_assocs
-        )
-        if with_l2_axis
-        else (),
+            (assoc, curve("l2", l2_grid_kb, assoc)) for assoc in l2_axis
+        ),
     )
+
+
+def _surface_rate(surface) -> Callable[[str, int, int], float]:
+    """``rate(level, kb, assoc)`` read off a profile-store surface."""
+    return lambda level, kb, assoc: surface.miss_rate(level, kb * 1024, assoc)
 
 
 def _model_payload(model: MissRateModel) -> dict:
@@ -498,6 +462,92 @@ def _store_covers(points: Sequence[Tuple[str, int, int]]) -> bool:
     )
 
 
+def _calibrate(
+    spec: WorkloadSpec,
+    n_accesses: int,
+    seed: int,
+    l1_grid_kb: Sequence[int],
+    l2_grid_kb: Sequence[int],
+    policy: str,
+    l1_assocs: Optional[Sequence[int]],
+    l2_assocs: Optional[Sequence[int]],
+    *,
+    cache_dir,
+    use_disk_cache: bool,
+    profile_store: str,
+    measure: bool,
+) -> Optional[MissRateModel]:
+    """The body of :func:`measure_miss_model` and :func:`peek_miss_model`.
+
+    Tiers in order: the missmodel disk cache, a profile-store slice,
+    then — only when ``measure`` — one trace pass over the grid's
+    shapes.  Without ``measure`` a miss of both serving tiers is
+    ``None``.
+    """
+    check_policy(policy)
+    if profile_store not in ("auto", "always", "off"):
+        raise SimulationError(
+            f"unknown profile_store mode {profile_store!r}; expected "
+            f"'auto', 'always' or 'off'"
+        )
+    l1_axis = _validate_assocs(l1_assocs, "l1")
+    l2_axis = _validate_assocs(l2_assocs, "l2")
+    measured_l1 = _measured_assocs(l1_axis, REFERENCE_L1_ASSOC)
+    measured_l2 = _measured_assocs(l2_axis, REFERENCE_L2_ASSOC)
+    points = _grid_points(l1_grid_kb, l2_grid_kb, measured_l1, measured_l2)
+    # Canonical (level, n_sets, assoc) shapes; a geometry that does not
+    # divide into sets fails here, before any tier is consulted.
+    shapes = [
+        (level, sets_for(level, kb * 1024, assoc, block_bytes=_BLOCK[level]),
+         assoc)
+        for level, kb, assoc in points
+    ] if measure else None
+    fingerprint = _calibration_fingerprint(
+        spec, n_accesses, seed, l1_grid_kb, l2_grid_kb, policy,
+        measured_l1, measured_l2,
+    )
+    cache = (
+        DiskCache("missmodel", directory=cache_dir) if use_disk_cache else None
+    )
+    if cache is not None:
+        payload = cache.load(fingerprint)
+        if payload is not None:
+            return _model_from_payload(payload)
+
+    # Profile-store serving tier: slice a dense precomputed surface
+    # instead of sweeping the trace.  The surface is computed by the
+    # same shape route as below, so a slice is bit-identical to it.
+    surface = None
+    if profile_store != "off" and _store_covers(points):
+        from repro.perf import profile_store as profile_store_tier
+
+        surface = profile_store_tier.get_store(cache_dir).surface(
+            spec,
+            policy=policy,
+            n_accesses=n_accesses,
+            seed=seed,
+            compute=profile_store == "always",
+        )
+    if surface is not None:
+        rate = _surface_rate(surface)
+    elif not measure:
+        return None
+    else:
+        rates = dict(zip(points, _shape_rates(
+            shapes, _calibration_trace(spec, n_accesses, seed), policy
+        )))
+
+        def rate(level: str, kb: int, assoc: int) -> float:
+            return rates[(level, kb, assoc)]
+    model = _model_from_rates(
+        spec.name, rate, l1_grid_kb, l2_grid_kb,
+        measured_l1 if l1_axis else (), measured_l2 if l2_axis else (),
+    )
+    if cache is not None:
+        cache.store(fingerprint, _model_payload(model))
+    return model
+
+
 def measure_miss_model(
     spec: WorkloadSpec,
     n_accesses: int = 300_000,
@@ -515,9 +565,8 @@ def measure_miss_model(
 
     The L1 curve is measured with the reference L2; the L2 curve with the
     reference L1 (the paper's one-variable-at-a-time methodology).  The
-    policy picks the route: LRU grids take one per-set Mattson pass
-    (:func:`_setdist_rates`), FIFO and random grids one multi-config
-    sweep (:func:`_multiconfig_rates`); both are exact.
+    grid's shapes take one exact pass (:func:`_shape_rates`): the per-set
+    Mattson profiler for LRU, one multi-config sweep for FIFO and random.
 
     Parameters beyond the grids:
 
@@ -549,68 +598,12 @@ def measure_miss_model(
         Only grids covered by the surface (4–64 KB L1, 128 KB–8 MB L2,
         power-of-two assocs up to 16) are eligible.
     """
-    check_policy(policy)
-    if profile_store not in ("auto", "always", "off"):
-        raise SimulationError(
-            f"unknown profile_store mode {profile_store!r}; expected "
-            f"'auto', 'always' or 'off'"
-        )
-    l1_axis = _validate_assocs(l1_assocs, "l1")
-    l2_axis = _validate_assocs(l2_assocs, "l2")
-    measured_l1 = _measured_assocs(l1_axis, REFERENCE_L1_ASSOC)
-    measured_l2 = _measured_assocs(l2_axis, REFERENCE_L2_ASSOC)
-    points = _grid_points(l1_grid_kb, l2_grid_kb, measured_l1, measured_l2)
-    if l1_axis or l2_axis:
-        for level, kb, assoc in points:
-            # Raises on a geometry that does not divide into sets.
-            sets_for(level, kb * 1024, assoc, block_bytes=_BLOCK[level])
-    fingerprint = _calibration_fingerprint(
+    return _calibrate(
         spec, n_accesses, seed, l1_grid_kb, l2_grid_kb, policy,
-        measured_l1, measured_l2,
+        l1_assocs, l2_assocs, cache_dir=cache_dir,
+        use_disk_cache=use_disk_cache, profile_store=profile_store,
+        measure=True,
     )
-    cache = (
-        DiskCache("missmodel", directory=cache_dir) if use_disk_cache else None
-    )
-    if cache is not None:
-        payload = cache.load(fingerprint)
-        if payload is not None:
-            return _model_from_payload(payload)
-
-    # Profile-store serving tier: slice a dense precomputed surface
-    # instead of sweeping the trace.  The surface is computed by the
-    # same route as below (one setdist cascade for LRU, one multiconfig
-    # union pass otherwise), so a slice is bit-identical to it.
-    surface = None
-    if profile_store != "off" and _store_covers(points):
-        from repro.perf import profile_store as profile_store_tier
-
-        surface = profile_store_tier.get_store(cache_dir).surface(
-            spec,
-            policy=policy,
-            n_accesses=n_accesses,
-            seed=seed,
-            compute=profile_store == "always",
-        )
-    if surface is not None:
-        rates = [
-            surface.miss_rate(level, kb * 1024, assoc)
-            for level, kb, assoc in points
-        ]
-    else:
-        buffer = synthetic_trace_buffer(
-            spec, n_accesses, seed=seed, block_bytes=64
-        )
-        if policy == "lru":
-            rates = _setdist_rates(points, buffer)
-        else:
-            rates = _multiconfig_rates(points, buffer, policy)
-    model = _build_model(
-        spec.name, rates, points, l1_grid_kb, l2_grid_kb,
-        measured_l1, measured_l2, l1_axis is not None, l2_axis is not None,
-    )
-    if cache is not None:
-        cache.store(fingerprint, _model_payload(model))
-    return model
 
 
 def peek_miss_model(
@@ -634,38 +627,11 @@ def peek_miss_model(
     trace pass.  Arguments mirror :func:`measure_miss_model`; a request
     this function cannot serve should be measured there.
     """
-    l1_axis = _validate_assocs(l1_assocs, "l1")
-    l2_axis = _validate_assocs(l2_assocs, "l2")
-    measured_l1 = _measured_assocs(l1_axis, REFERENCE_L1_ASSOC)
-    measured_l2 = _measured_assocs(l2_axis, REFERENCE_L2_ASSOC)
-    points = _grid_points(l1_grid_kb, l2_grid_kb, measured_l1, measured_l2)
-    fingerprint = _calibration_fingerprint(
+    return _calibrate(
         spec, n_accesses, seed, l1_grid_kb, l2_grid_kb, policy,
-        measured_l1, measured_l2,
+        l1_assocs, l2_assocs, cache_dir=cache_dir, use_disk_cache=True,
+        profile_store="auto", measure=False,
     )
-    cache = DiskCache("missmodel", directory=cache_dir)
-    payload = cache.load(fingerprint)
-    if payload is not None:
-        return _model_from_payload(payload)
-    if not _store_covers(points):
-        return None
-    from repro.perf import profile_store as profile_store_tier
-
-    surface = profile_store_tier.get_store(cache_dir).peek(
-        spec, policy=policy, n_accesses=n_accesses, seed=seed
-    )
-    if surface is None:
-        return None
-    rates = [
-        surface.miss_rate(level, kb * 1024, assoc)
-        for level, kb, assoc in points
-    ]
-    model = _build_model(
-        spec.name, rates, points, l1_grid_kb, l2_grid_kb,
-        measured_l1, measured_l2, l1_axis is not None, l2_axis is not None,
-    )
-    cache.store(fingerprint, _model_payload(model))
-    return model
 
 
 #: Pre-measured LRU curves (2,000,000 accesses, seed 1, rounded to 5
@@ -785,66 +751,25 @@ def blended_miss_model(
             name: calibrated_miss_model(name, policy) for name in weights
         }
     reference = next(iter(models.values()))
-    l1_curve = tuple(
-        (
-            size,
-            sum(
-                shares[name] * models[name].l1_miss_rate(size)
-                for name in shares
-            ),
+
+    def rate(level: str, kb: int, assoc: int) -> float:
+        # Every model's reference-assoc curve is its plain curve.
+        return sum(
+            shares[name] * (
+                models[name].l1_miss_rate(kb * 1024, assoc) if level == "l1"
+                else models[name].l2_local_miss_rate(kb * 1024, assoc)
+            )
+            for name in shares
         )
-        for size, _ in reference.l1_curve
-    )
-    l2_curve = tuple(
-        (
-            size,
-            sum(
-                shares[name] * models[name].l2_local_miss_rate(size)
-                for name in shares
-            ),
-        )
-        for size, _ in reference.l2_curve
-    )
-    l1_assoc_curves = tuple(
-        (
-            assoc,
-            tuple(
-                (
-                    size,
-                    sum(
-                        shares[name] * models[name].l1_miss_rate(size, assoc)
-                        for name in shares
-                    ),
-                )
-                for size, _ in curve
-            ),
-        )
-        for assoc, curve in reference.l1_assoc_curves
-    )
-    l2_assoc_curves = tuple(
-        (
-            assoc,
-            tuple(
-                (
-                    size,
-                    sum(
-                        shares[name]
-                        * models[name].l2_local_miss_rate(size, assoc)
-                        for name in shares
-                    ),
-                )
-                for size, _ in curve
-            ),
-        )
-        for assoc, curve in reference.l2_assoc_curves
-    )
+
     label = "+".join(sorted(weights))
-    return MissRateModel(
-        workload=f"blend({label})",
-        l1_curve=l1_curve,
-        l2_curve=l2_curve,
-        l1_assoc_curves=l1_assoc_curves,
-        l2_assoc_curves=l2_assoc_curves,
+    return _model_from_rates(
+        f"blend({label})",
+        rate,
+        [size // 1024 for size, _ in reference.l1_curve],
+        [size // 1024 for size, _ in reference.l2_curve],
+        [assoc for assoc, _ in reference.l1_assoc_curves],
+        [assoc for assoc, _ in reference.l2_assoc_curves],
     )
 
 
@@ -939,39 +864,9 @@ def calibrated_miss_surface(
         seed=1,
     )
     assocs = profile_store_tier.SURFACE_ASSOCS
-    model = MissRateModel(
-        workload=workload,
-        l1_curve=tuple(
-            (kb * 1024, surface.l1_miss_rate(kb * 1024, REFERENCE_L1_ASSOC))
-            for kb in L1_GRID_KB
-        ),
-        l2_curve=tuple(
-            (
-                kb * 1024,
-                surface.l2_local_miss_rate(kb * 1024, REFERENCE_L2_ASSOC),
-            )
-            for kb in L2_GRID_KB
-        ),
-        l1_assoc_curves=tuple(
-            (
-                assoc,
-                tuple(
-                    (kb * 1024, surface.l1_miss_rate(kb * 1024, assoc))
-                    for kb in L1_GRID_KB
-                ),
-            )
-            for assoc in assocs
-        ),
-        l2_assoc_curves=tuple(
-            (
-                assoc,
-                tuple(
-                    (kb * 1024, surface.l2_local_miss_rate(kb * 1024, assoc))
-                    for kb in L2_GRID_KB
-                ),
-            )
-            for assoc in assocs
-        ),
+    model = _model_from_rates(
+        workload, _surface_rate(surface), L1_GRID_KB, L2_GRID_KB,
+        assocs, assocs,
     )
     _SURFACE_TABLES[key] = model
     return model

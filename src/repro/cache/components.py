@@ -20,8 +20,9 @@ component automatically.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -60,21 +61,36 @@ class ComponentCost:
     transistor_count: int
 
 
+#: Most (vth, tox) points one component keeps memoised; the oldest is
+#: evicted first beyond it.  The E1-E9 experiments reach at most 40
+#: distinct points on one component, so only long-lived models priced
+#: at ever-new knobs (the service's shared models) ever evict.
+MEMO_CAPACITY = 1024
+
+
 class _ComponentBase:
     """Shared memoisation: components are pure functions of (vth, tox)."""
 
     def __init__(self) -> None:
-        self._memo: Dict[Tuple[float, float], ComponentCost] = {}
+        self._memo: "OrderedDict[Tuple[float, float], ComponentCost]" = (
+            OrderedDict()
+        )
 
     def evaluate(self, vth: float, tox: float) -> ComponentCost:
         key = (vth, tox)
-        if key not in self._memo:
+        memo = self._memo
+        cost = memo.get(key)
+        if cost is None:
             if not (math.isfinite(vth) and math.isfinite(tox)):
                 raise DeviceModelError(
                     f"knobs must be finite, got Vth={vth}, Tox={tox}"
                 )
-            self._memo[key] = self._evaluate(vth, tox)
-        return self._memo[key]
+            cost = memo[key] = self._evaluate(vth, tox)
+            # ``popitem`` is one call under the GIL, so threads sharing a
+            # model never see the memo mid-change.
+            if len(memo) > MEMO_CAPACITY:
+                memo.popitem(last=False)
+        return cost
 
     def _evaluate(self, vth: float, tox: float) -> ComponentCost:
         raise NotImplementedError

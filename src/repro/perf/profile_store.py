@@ -21,11 +21,12 @@ Three tiers, mirroring the rest of ``repro.perf``:
 * a :class:`repro.perf.DiskCache` persistent tier (namespace
   ``profiles``), so a restarted process — or the service daemon after
   a pool worker computed the surface — re-serves without recomputation;
-* the compute tier: **one** ``setdist`` contraction-cascade pass for
-  LRU, or one :class:`~repro.archsim.multiconfig.MultiConfigHierarchyEngine`
-  union pass over the superset grid for FIFO/random (per-lane rng
-  streams are independent, so the union pass is bit-identical to any
-  sub-grid pass).
+* the compute tier: one trace pass through the calibration route that
+  grids take too, :func:`repro.archsim.missmodel._shape_rates`, over
+  every dense shape — one ``setdist`` contraction-cascade pass for
+  LRU, one :class:`~repro.archsim.multiconfig.MultiConfigHierarchyEngine`
+  pass for FIFO/random (per-lane rng streams are independent, so the
+  dense pass is bit-identical to any sub-grid pass).
 
 Surfaces are keyed canonically by ``(n_sets, associativity)`` per level:
 ``n_sets = size / (block * assoc)``, so the same physical cache reached
@@ -212,95 +213,20 @@ def _compute_surface(spec, policy: str, n_accesses: int,
                      seed: int) -> MissSurface:
     """One trace pass -> the whole dense surface for both levels."""
     from repro.archsim import missmodel
-    from repro.archsim.workloads import synthetic_trace_buffer
 
-    buffer = synthetic_trace_buffer(
-        spec, n_accesses, seed=seed, block_bytes=64
+    shapes = [
+        (level, sets, assoc)
+        for level, set_counts in (("l1", L1_SURFACE_SET_COUNTS),
+                                  ("l2", L2_SURFACE_SET_COUNTS))
+        for sets in set_counts
+        for assoc in SURFACE_ASSOCS
+    ]
+    rates = missmodel._shape_rates(
+        shapes, missmodel._calibration_trace(spec, n_accesses, seed), policy
     )
-    if policy == "lru":
-        from repro.archsim import setdist
-
-        ref_sets = (
-            missmodel.REFERENCE_L1_KB * 1024
-            // (missmodel.REFERENCE_L1_BLOCK * missmodel.REFERENCE_L1_ASSOC)
-        )
-        l1_profiles, l2_profiles = setdist.two_level_profiles(
-            buffer,
-            l1_set_counts=L1_SURFACE_SET_COUNTS,
-            l2_set_counts=L2_SURFACE_SET_COUNTS,
-            ref_sets=ref_sets,
-            ref_assoc=missmodel.REFERENCE_L1_ASSOC,
-            l1_block_bytes=missmodel.REFERENCE_L1_BLOCK,
-            l2_block_bytes=missmodel.REFERENCE_L2_BLOCK,
-            l1_depth_cap=max(SURFACE_ASSOCS),
-            l2_depth_cap=max(SURFACE_ASSOCS),
-        )
-        l1_rates = tuple(
-            (sets, assoc, l1_profiles[sets].miss_rate(assoc))
-            for sets in L1_SURFACE_SET_COUNTS
-            for assoc in SURFACE_ASSOCS
-        )
-        l2_rates = tuple(
-            (sets, assoc, l2_profiles[sets].miss_rate(assoc))
-            for sets in L2_SURFACE_SET_COUNTS
-            for assoc in SURFACE_ASSOCS
-        )
-    else:
-        from repro.archsim.multiconfig import MultiConfigHierarchyEngine
-        from repro.cache.config import CacheConfig
-
-        l1_shapes = [
-            (sets, assoc)
-            for sets in L1_SURFACE_SET_COUNTS
-            for assoc in SURFACE_ASSOCS
-        ]
-        l2_shapes = [
-            (sets, assoc)
-            for sets in L2_SURFACE_SET_COUNTS
-            for assoc in SURFACE_ASSOCS
-        ]
-        reference_l1 = CacheConfig(
-            size_bytes=missmodel.REFERENCE_L1_KB * 1024,
-            block_bytes=missmodel.REFERENCE_L1_BLOCK,
-            associativity=missmodel.REFERENCE_L1_ASSOC,
-            name="L1",
-        )
-        engine_points: List[tuple] = [
-            (
-                CacheConfig(
-                    size_bytes=sets * assoc * missmodel.REFERENCE_L1_BLOCK,
-                    block_bytes=missmodel.REFERENCE_L1_BLOCK,
-                    associativity=assoc,
-                    name="L1",
-                ),
-                None,
-            )
-            for sets, assoc in l1_shapes
-        ] + [
-            (
-                reference_l1,
-                CacheConfig(
-                    size_bytes=sets * assoc * missmodel.REFERENCE_L2_BLOCK,
-                    block_bytes=missmodel.REFERENCE_L2_BLOCK,
-                    associativity=assoc,
-                    name="L2",
-                ),
-            )
-            for sets, assoc in l2_shapes
-        ]
-        results = MultiConfigHierarchyEngine(engine_points, policy).run(
-            buffer
-        )
-        l1_results = results[: len(l1_shapes)]
-        l2_results = results[len(l1_shapes):]
-        l1_rates = tuple(
-            (sets, assoc, result.l1_miss_rate)
-            for (sets, assoc), result in zip(l1_shapes, l1_results)
-        )
-        l2_rates = tuple(
-            (sets, assoc, result.l2_local_miss_rate)
-            for (sets, assoc), result in zip(l2_shapes, l2_results)
-        )
+    entries = {"l1": [], "l2": []}
+    for (level, sets, assoc), rate in zip(shapes, rates):
+        entries[level].append((sets, assoc, rate))
     return MissSurface(
         workload=spec.name,
         policy=policy,
@@ -308,8 +234,8 @@ def _compute_surface(spec, policy: str, n_accesses: int,
         seed=seed,
         l1_block_bytes=missmodel.REFERENCE_L1_BLOCK,
         l2_block_bytes=missmodel.REFERENCE_L2_BLOCK,
-        l1_rates=l1_rates,
-        l2_rates=l2_rates,
+        l1_rates=tuple(entries["l1"]),
+        l2_rates=tuple(entries["l2"]),
     )
 
 

@@ -3,16 +3,22 @@
 import pytest
 
 from repro import units
+from repro.cache import components
 from repro.cache.assignment import COMPONENT_NAMES
 from repro.cache.cache_model import CacheModel
+from repro.cache.components import MEMO_CAPACITY
 from repro.cache.config import CacheConfig
+
+
+def _fresh_model():
+    return CacheModel(
+        CacheConfig(size_bytes=16 * 1024, block_bytes=32, associativity=2)
+    )
 
 
 @pytest.fixture(scope="module")
 def model():
-    return CacheModel(
-        CacheConfig(size_bytes=16 * 1024, block_bytes=32, associativity=2)
-    )
+    return _fresh_model()
 
 
 class TestProtocol:
@@ -32,6 +38,39 @@ class TestProtocol:
         first = component.evaluate(0.31, model.technology.tox_ref)
         second = component.evaluate(0.31, model.technology.tox_ref)
         assert first is second
+
+    @pytest.mark.parametrize("name", ["array", "data_drivers"])
+    def test_memo_is_bounded(self, name):
+        """More distinct points than the cap leave at most the cap, and
+        an evicted point re-evaluates to an equal cost."""
+        model = _fresh_model()
+        component = model.components[name]
+        tox = model.technology.tox_ref
+        vths = [0.2 + i * 1e-5 for i in range(MEMO_CAPACITY + 50)]
+        first = component.evaluate(vths[0], tox)
+        for vth in vths[1:]:
+            component.evaluate(vth, tox)
+        assert len(component._memo) == MEMO_CAPACITY
+        assert (vths[0], tox) not in component._memo
+        again = component.evaluate(vths[0], tox)
+        assert again is not first
+        assert again == first
+        assert len(component._memo) == MEMO_CAPACITY
+
+    @pytest.mark.parametrize("name", COMPONENT_NAMES)
+    def test_memo_evicts_oldest_first(self, name, monkeypatch):
+        monkeypatch.setattr(components, "MEMO_CAPACITY", 8)
+        model = _fresh_model()
+        component = model.components[name]
+        tox = model.technology.tox_ref
+        vths = [0.25 + i * 1e-3 for i in range(20)]
+        costs = [component.evaluate(vth, tox) for vth in vths]
+        assert list(component._memo) == [(vth, tox) for vth in vths[-8:]]
+        # A kept point is served from the memo; an evicted one is
+        # recomputed, equal to its first evaluation.
+        assert component.evaluate(vths[-1], tox) is costs[-1]
+        assert component.evaluate(vths[0], tox) == costs[0]
+        assert len(component._memo) == 8
 
     @pytest.mark.parametrize("name", COMPONENT_NAMES)
     def test_accessor_shortcuts(self, model, name):

@@ -4,9 +4,10 @@ Two simulated workers (slots ``a`` and ``b``) share one store.  Each
 slot holds one incarnation: a :class:`JobManager` whose process pool is
 replaced by a hand-driven one, and a :class:`CampaignManager` whose
 child jobs run on :class:`ManualJobs`.  Hypothesis interleaves submit,
-start/finish, cancel, GET, crash and restart across them.  Every
-record is stamped with a live owner other than this process (pid 1),
-so the workers treat each other as live siblings.
+start/finish, cancel, GET, crash and restart across them.  Both
+workers live in this process, so each sees the other's records as a
+sibling's through their stamped ``owner_instance`` while the other's
+work-item table is open, and as a dead owner's once it is closed.
 
 * **crash** — the incarnation dies: from then on its record writes are
   dropped (its threads are stopped), every record it owns is repainted
@@ -47,13 +48,9 @@ from repro.perf.disk_cache import DiskCache
 from repro.service import jobs as jobs_module
 from repro.service.jobs import JobManager
 from tests.campaign.test_runner import ManualJobs, make_spec
-from repro.procutil import proc_start_ticks
 from tests.service.test_fault_injection import kill_owner
 
 SLOTS = ("a", "b")
-
-#: pid 1's start-time stamp: a record carrying it has a live owner.
-LIVE_TICKS = proc_start_ticks(1)
 
 #: Two campaigns of two sweep groups each; they share one sweep unit,
 #: so a checkpoint of one is reused by the other.
@@ -121,12 +118,8 @@ class WorkItemMachine(RuleBasedStateMachine):
         original_write = records.write
 
         def write(disk, key, snapshot, worker=None, instance=""):
-            # Every worker is stamped as a live process other than this
-            # one (pid 1), so workers see each other as siblings; a dead
-            # worker writes nothing more.  The guard makes the check and
-            # the write one step against a concurrent crash.
-            snapshot = {"owner_pid": 1, "owner_start_ticks": LIVE_TICKS,
-                        **snapshot}
+            # A dead worker writes nothing more.  The guard makes the
+            # check and the write one step against a concurrent crash.
             with self.write_guard:
                 if worker not in self.dead:
                     original_write(disk, key, snapshot, worker=worker,
