@@ -19,7 +19,6 @@ component automatically.
 
 from __future__ import annotations
 
-import math
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Tuple
@@ -30,6 +29,7 @@ from repro.errors import CircuitError, DeviceModelError
 from repro.technology.bptm import Technology
 from repro.technology.scaling import ToxScalingRule
 from repro.devices import delay as _delay
+from repro.devices.mosfet import check_knobs
 from repro.circuits.sram_cell import SramCell
 from repro.circuits.sense_amp import SenseAmplifier
 from repro.circuits.decoder import RowDecoder
@@ -69,7 +69,14 @@ MEMO_CAPACITY = 1024
 
 
 class _ComponentBase:
-    """Shared memoisation: components are pure functions of (vth, tox)."""
+    """Shared memoisation and the knob check: components are pure
+    functions of (vth, tox).
+
+    ``evaluate`` and ``evaluate_grid`` run :func:`check_knobs` once on
+    their knobs; the circuits below call the device kernels unchecked.
+    """
+
+    technology: Technology
 
     def __init__(self) -> None:
         self._memo: "OrderedDict[Tuple[float, float], ComponentCost]" = (
@@ -81,10 +88,7 @@ class _ComponentBase:
         memo = self._memo
         cost = memo.get(key)
         if cost is None:
-            if not (math.isfinite(vth) and math.isfinite(tox)):
-                raise DeviceModelError(
-                    f"knobs must be finite, got Vth={vth}, Tox={tox}"
-                )
+            check_knobs(self.technology, vth, tox)
             cost = memo[key] = self._evaluate(vth, tox)
             # ``popitem`` is one call under the GIL, so threads sharing a
             # model never see the memo mid-change.
@@ -118,6 +122,10 @@ class _ComponentBase:
         tunnelling, buffer-chain sizing) are computed per column on the
         scalar path and stacked into rows, so column ``j`` equals a
         Vth-vector evaluation at the float ``toxes[j]`` bit for bit.
+
+        The axes are checked once (:func:`check_knobs`), which rejects
+        every point a scalar ``evaluate`` would, with the same error
+        class; nothing below re-checks them.
         """
         vths = np.asarray(vths, dtype=float)
         toxes = np.asarray(toxes, dtype=float)
@@ -128,10 +136,7 @@ class _ComponentBase:
             )
         vths = np.atleast_1d(vths)
         toxes = np.atleast_1d(toxes)
-        if not (np.isfinite(vths).all() and np.isfinite(toxes).all()):
-            raise DeviceModelError(
-                f"knobs must be finite, got Vth={vths}, Tox={toxes}"
-            )
+        check_knobs(self.technology, vths, toxes)
         shape = (vths.size, toxes.size)
         if not vths.size or not toxes.size:
             return np.empty(shape), np.empty(shape), np.empty(shape)

@@ -18,6 +18,11 @@ top of :mod:`repro.devices`:
 Every block answers the same three questions at a given (Vth, Tox):
 standby leakage power (W), critical-path delay contribution (s), and
 switched energy per access (J).
+
+The blocks take checked knobs: the cache components run
+:func:`repro.devices.mosfet.check_knobs` at their boundary, and the
+blocks below it call the unchecked device kernels.  A direct caller
+with knobs of its own checks them the same way first.
 """
 
 from repro.circuits.logical_effort import (

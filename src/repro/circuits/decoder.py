@@ -29,7 +29,7 @@ from repro.errors import CircuitError
 from repro.units import is_power_of_two, log2_int
 from repro.technology.bptm import Technology
 from repro.technology.scaling import ScaledGeometry, ToxScalingRule
-from repro.devices.mosfet import Mosfet, Polarity
+from repro.devices.mosfet import UncheckedMosfet, Polarity
 from repro.devices import stack as _stack
 from repro.circuits.logical_effort import ELMORE_LN2, optimal_buffer_chain
 from repro.circuits.wires import Wire
@@ -128,10 +128,10 @@ class RowDecoder:
 
     def _nand(
         self, fan_in: int, vth: float, geometry: ScaledGeometry
-    ) -> Tuple[Mosfet, Mosfet]:
+    ) -> Tuple[UncheckedMosfet, UncheckedMosfet]:
         """Return (series NMOS, parallel PMOS) devices of a NAND gate."""
         tech = self.technology
-        nmos = Mosfet(
+        nmos = UncheckedMosfet(
             polarity=Polarity.NMOS,
             width=NAND_NMOS_RATIO * tech.wmin * max(fan_in, 1) / 2.0,
             lgate=geometry.lgate_drawn,
@@ -139,7 +139,7 @@ class RowDecoder:
             vth=vth,
             tox=geometry.tox,
         )
-        pmos = Mosfet(
+        pmos = UncheckedMosfet(
             polarity=Polarity.PMOS,
             width=NAND_PMOS_RATIO * tech.wmin,
             lgate=geometry.lgate_drawn,
@@ -196,7 +196,9 @@ class RowDecoder:
         n_groups = len(groups)
         stack_factor = None
         if self.stack_enabled:
-            stack_factor = _stack.two_stack_factor(tech, vth, tox, geometry.leff)
+            stack_factor = _stack.two_stack_factor_kernel(
+                tech, vth, tox, geometry.leff
+            )
 
         # ---- delay: predecode NAND -> row NAND -> word-line driver chain.
         delay = 0.0
@@ -247,14 +249,18 @@ class RowDecoder:
         delay += np.maximum(internal, 0.0) + wire_delay
 
         # ---- leakage: predecode banks + every row NAND + every driver chain.
+        # One NAND leakage per distinct fan-in: predecode groups repeat
+        # (2s, maybe one 3), and the row NAND's fan-in may equal one.
+        nand_leakage = {}
+        for fan_in in (*groups, n_groups):
+            if fan_in not in nand_leakage:
+                nand_leakage[fan_in] = self._nand_leakage(
+                    fan_in, vth, geometry, stack_factor
+                )
         leakage = 0.0
         for group in groups:
-            leakage += (2 ** group) * self._nand_leakage(
-                group, vth, geometry, stack_factor
-            )
-        leakage += self.n_rows * self._nand_leakage(
-            n_groups, vth, geometry, stack_factor
-        )
+            leakage += (2 ** group) * nand_leakage[group]
+        leakage += self.n_rows * nand_leakage[n_groups]
         leakage += self.n_rows * (
             chain.subthreshold_leakage + chain.gate_leakage
         )

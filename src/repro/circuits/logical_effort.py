@@ -170,7 +170,9 @@ def _size_column(
     if load_capacitance <= 0:
         raise CircuitError(f"load capacitance must be positive, got {load_capacitance}")
     first = InverterSizing(wn=wn0, wp=PN_RATIO * wn0)
-    c_in0 = _delay.gate_capacitance(technology, first.total_width, lgate, tox)
+    c_in0 = _delay.gate_capacitance_kernel(
+        technology, first.total_width, lgate, tox
+    )
     total_effort = load_capacitance / c_in0
     if total_effort <= 1.0:
         n_stages = 1
@@ -184,7 +186,7 @@ def _size_column(
         for i in range(n_stages)
     )
     c_ins = [
-        _delay.gate_capacitance(technology, sizing.total_width, lgate, tox)
+        _delay.gate_capacitance_kernel(technology, sizing.total_width, lgate, tox)
         for sizing in inverters
     ]
     stage_loads = []
@@ -192,10 +194,12 @@ def _size_column(
     c_switched = 0.0
     if gate_enabled:
         # gate_tunnel_current's products, in its order, on one density
-        # per column (gate_capacitance has checked the geometry).
+        # per column.
         density = _gate.gate_current_density(technology, technology.vdd, tox)
     for index, sizing in enumerate(inverters):
-        c_self = _delay.junction_capacitance(technology, sizing.total_width)
+        c_self = _delay.junction_capacitance_kernel(
+            technology, sizing.total_width
+        )
         c_load = c_ins[index + 1] if index + 1 < n_stages else load_capacitance
         stage_loads.append(c_load + c_self)
         if gate_enabled:
@@ -316,16 +320,16 @@ def optimal_buffer_chain(
     i_sub_total = 0.0
     r_out = None
     for index, (wn, wp, load) in enumerate(zip(wns, wps, loads)):
-        r_n = _delay.effective_resistance(technology, wn, leff, vth, tox)
-        r_p = _delay.effective_resistance(
+        r_n = _delay.resistance_kernel(technology, wn, leff, vth, tox)
+        r_p = _delay.resistance_kernel(
             technology, wp, leff, vth, tox, p_type=True
         )
         r_drive = 0.5 * (r_n + r_p)
         # Standby: average of input-low (NMOS off) and input-high (PMOS off).
-        i_sub_n = _sub.subthreshold_current(
+        i_sub_n = _sub.subthreshold_kernel(
             technology, wn, leff, vth, tox, vgs=0.0, vds=technology.vdd
         )
-        i_sub_p = _sub.subthreshold_current(
+        i_sub_p = _sub.subthreshold_kernel(
             technology, wp, leff, vth, tox, vgs=0.0, vds=technology.vdd,
             p_type=True,
         )

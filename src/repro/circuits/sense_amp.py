@@ -27,7 +27,7 @@ import numpy as np
 from repro.errors import CircuitError
 from repro.technology.bptm import Technology
 from repro.technology.scaling import ToxScalingRule
-from repro.devices.mosfet import Mosfet, Polarity
+from repro.devices.mosfet import UncheckedMosfet, Polarity
 from repro.devices import delay as _delay
 
 #: Required differential input swing as a fraction of Vdd.
@@ -54,9 +54,9 @@ class SenseAmplifier:
     technology: Technology
     rule: ToxScalingRule
 
-    def _latch_nmos(self, vth: float, tox: float) -> Mosfet:
+    def _latch_nmos(self, vth: float, tox: float) -> UncheckedMosfet:
         geometry = self.rule.geometry(tox)
-        return Mosfet(
+        return UncheckedMosfet(
             polarity=Polarity.NMOS,
             width=LATCH_RATIO * self.technology.wmin,
             lgate=geometry.lgate_drawn,
@@ -105,9 +105,9 @@ class SenseAmplifier:
         tech = self.technology
         latch = self._latch_nmos(vth, tox)
         geometry = self.rule.geometry(tox)
-        c_node = _delay.gate_capacitance(
+        c_node = _delay.gate_capacitance_kernel(
             tech, 2.0 * latch.width, geometry.lgate_drawn, tox
-        ) + _delay.junction_capacitance(tech, 2.0 * latch.width)
+        ) + _delay.junction_capacitance_kernel(tech, 2.0 * latch.width)
         gm = latch.on_current(tech) / np.maximum(tech.vdd - vth, 1e-3)
         tau = c_node / gm
         gain_needed = tech.vdd / self.required_swing()
@@ -146,10 +146,12 @@ class SenseAmplifier:
         tech = self.technology
         geometry = self.rule.geometry(tox)
         c_internal = 2.0 * (
-            _delay.gate_capacitance(
+            _delay.gate_capacitance_kernel(
                 tech, 2.0 * LATCH_RATIO * tech.wmin, geometry.lgate_drawn, tox
             )
-            + _delay.junction_capacitance(tech, 2.0 * LATCH_RATIO * tech.wmin)
+            + _delay.junction_capacitance_kernel(
+                tech, 2.0 * LATCH_RATIO * tech.wmin
+            )
         )
         bitline_energy = bitline_capacitance * self.required_swing() * tech.vdd
         latch_energy = c_internal * tech.vdd * tech.vdd

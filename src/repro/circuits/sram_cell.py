@@ -32,7 +32,7 @@ import numpy as np
 from repro.errors import CircuitError
 from repro.technology.bptm import Technology
 from repro.technology.scaling import ToxScalingRule
-from repro.devices.mosfet import Mosfet, Polarity
+from repro.devices.mosfet import UncheckedMosfet, Polarity
 from repro.devices import delay as _delay
 
 #: Classic 6T width ratios in units of the minimum width.
@@ -62,8 +62,8 @@ class SramCell:
         tech = self.technology
         scale = geometry.width_scale
 
-        def nmos(ratio: float) -> Mosfet:
-            return Mosfet(
+        def nmos(ratio: float) -> UncheckedMosfet:
+            return UncheckedMosfet(
                 polarity=Polarity.NMOS,
                 width=ratio * tech.wmin * scale,
                 lgate=geometry.lgate_drawn,
@@ -72,8 +72,8 @@ class SramCell:
                 tox=tox,
             )
 
-        def pmos(ratio: float) -> Mosfet:
-            return Mosfet(
+        def pmos(ratio: float) -> UncheckedMosfet:
+            return UncheckedMosfet(
                 polarity=Polarity.PMOS,
                 width=ratio * tech.wmin * scale,
                 lgate=geometry.lgate_drawn,
@@ -155,7 +155,7 @@ class SramCell:
         """
         geometry = self.rule.geometry(tox)
         width = ACCESS_RATIO * self.technology.wmin * geometry.width_scale
-        return 2.0 * _delay.gate_capacitance(
+        return 2.0 * _delay.gate_capacitance_kernel(
             self.technology, width, geometry.lgate_drawn, tox
         )
 
@@ -166,7 +166,7 @@ class SramCell:
         """
         geometry = self.rule.geometry(tox)
         width = ACCESS_RATIO * self.technology.wmin * geometry.width_scale
-        junction = _delay.junction_capacitance(self.technology, width)
+        junction = _delay.junction_capacitance_kernel(self.technology, width)
         wire = self.technology.wire_cap_per_m * geometry.cell_height
         return junction + wire
 

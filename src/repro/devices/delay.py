@@ -25,8 +25,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import units
 from repro.errors import DeviceModelError
-from repro.technology.bptm import Technology
+from repro.technology.bptm import Technology, check_oxide
 
 #: Multiplier converting Vdd/Idsat into the effective switching resistance
 #: of a step-driven transistor (accounts for the drain current trajectory
@@ -35,6 +36,34 @@ RESISTANCE_FUDGE = 2.6
 
 #: Fraction of gate-oxide capacitance added by fringing/overlap.
 FRINGE_FACTOR = 1.25
+
+
+def check_turns_on(technology: Technology, vth) -> None:
+    """Raise :class:`DeviceModelError` unless every ``vth`` is below Vdd."""
+    if not isinstance(vth, np.ndarray):
+        if technology.vdd - vth <= 0:
+            raise DeviceModelError(
+                f"Vth={vth} V >= Vdd={technology.vdd} V: device never turns on"
+            )
+    elif np.any(np.less_equal(technology.vdd - vth, 0)):
+        raise DeviceModelError(
+            f"Vth={vth} V >= Vdd={technology.vdd} V: device never turns on"
+        )
+
+
+def _check_drive(technology: Technology, width, leff, vth, tox) -> None:
+    """The checks of :func:`on_current` and :func:`effective_resistance`."""
+    if not isinstance(width, np.ndarray) and not isinstance(leff, np.ndarray):
+        if width <= 0 or leff <= 0:
+            raise DeviceModelError(
+                f"transistor geometry must be positive, got W={width}, Leff={leff}"
+            )
+    elif np.any(np.less_equal(width, 0)) or np.any(np.less_equal(leff, 0)):
+        raise DeviceModelError(
+            f"transistor geometry must be positive, got W={width}, Leff={leff}"
+        )
+    check_turns_on(technology, vth)
+    check_oxide(tox)
 
 
 def on_current(
@@ -54,28 +83,21 @@ def on_current(
     ``vth`` and ``tox`` may be numpy arrays; they broadcast and the drive
     current comes back with the broadcast shape.
     """
+    _check_drive(technology, width, leff, vth, tox)
+    return on_current_kernel(technology, width, leff, vth, tox, p_type)
+
+
+def on_current_kernel(technology: Technology, width, leff, vth, tox,
+                      p_type: bool = False):
+    """:func:`on_current` past its checks (``Vth < Vdd``, positive
+    geometry and Tox hold by construction below a component's knob
+    check)."""
     if not isinstance(width, np.ndarray) and not isinstance(leff, np.ndarray) and not isinstance(vth, np.ndarray):
-        if width <= 0 or leff <= 0:
-            raise DeviceModelError(
-                f"transistor geometry must be positive, got W={width}, Leff={leff}"
-            )
         overdrive = technology.vdd - vth
-        if overdrive <= 0:
-            raise DeviceModelError(
-                f"Vth={vth} V >= Vdd={technology.vdd} V: device never turns on"
-            )
     else:
-        if np.any(np.less_equal(width, 0)) or np.any(np.less_equal(leff, 0)):
-            raise DeviceModelError(
-                f"transistor geometry must be positive, got W={width}, Leff={leff}"
-            )
         overdrive = technology.vdd - np.asarray(vth, dtype=float)
-        if np.any(np.less_equal(overdrive, 0)):
-            raise DeviceModelError(
-                f"Vth={vth} V >= Vdd={technology.vdd} V: device never turns on"
-            )
     mobility = technology.mobility_p if p_type else technology.mobility_n
-    cox = technology.cox(tox)
+    cox = units.oxide_capacitance_kernel(tox)
     return 0.5 * mobility * cox * (width / leff) * overdrive ** technology.alpha_power
 
 
@@ -91,7 +113,14 @@ def effective_resistance(
 
     ``R = fudge * Vdd / Idsat`` — the standard RC-delay abstraction.
     """
-    ids = on_current(technology, width, leff, vth, tox, p_type=p_type)
+    _check_drive(technology, width, leff, vth, tox)
+    return resistance_kernel(technology, width, leff, vth, tox, p_type)
+
+
+def resistance_kernel(technology: Technology, width, leff, vth, tox,
+                      p_type: bool = False):
+    """:func:`effective_resistance` past its checks."""
+    ids = on_current_kernel(technology, width, leff, vth, tox, p_type=p_type)
     return RESISTANCE_FUDGE * technology.vdd / ids
 
 
@@ -117,7 +146,13 @@ def gate_capacitance(
         raise DeviceModelError(
             f"gate geometry must be positive, got W={width}, L={lgate}"
         )
-    return FRINGE_FACTOR * technology.cox(tox) * width * lgate
+    check_oxide(tox)
+    return gate_capacitance_kernel(technology, width, lgate, tox)
+
+
+def gate_capacitance_kernel(technology: Technology, width, lgate, tox):
+    """:func:`gate_capacitance` past its checks."""
+    return FRINGE_FACTOR * units.oxide_capacitance_kernel(tox) * width * lgate
 
 
 def junction_capacitance(technology: Technology, width: float) -> float:
@@ -132,6 +167,11 @@ def junction_capacitance(technology: Technology, width: float) -> float:
             raise DeviceModelError(f"width must be positive, got {width}")
     elif np.any(np.less_equal(width, 0)):
         raise DeviceModelError(f"width must be positive, got {width}")
+    return junction_capacitance_kernel(technology, width)
+
+
+def junction_capacitance_kernel(technology: Technology, width):
+    """:func:`junction_capacitance` past its check."""
     return technology.junction_cap_per_width * width
 
 

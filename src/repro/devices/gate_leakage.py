@@ -126,6 +126,25 @@ def gate_tunnel_current(
         raise DeviceModelError(
             f"gate geometry must be positive, got W={width}, L={lgate}"
         )
+    return gate_tunnel_kernel(
+        technology, width, lgate, tox, vgs, conducting, p_type
+    )
+
+
+def gate_tunnel_kernel(
+    technology: Technology,
+    width,
+    lgate,
+    tox,
+    vgs=None,
+    conducting: bool = True,
+    p_type: bool = False,
+):
+    """:func:`gate_tunnel_current` past its geometry check.
+
+    The oxide checks stay: :func:`gate_current_density` runs each Tox on
+    the scalar path, checks included.
+    """
     if vgs is None:
         vgs = technology.vdd
     density = gate_current_density(technology, vgs, tox)

@@ -5,20 +5,66 @@ process-knob assignment (Vth, Tox) and exposes the leakage / drive /
 capacitance queries the circuit layer needs.  It is deliberately immutable:
 circuit builders create transistor populations once per (Vth, Tox)
 evaluation point and the models never mutate them.
+
+A :class:`Mosfet` checks its geometry and knobs once, when it is built;
+its queries then run the device kernels unchecked.  The circuits build
+:class:`UncheckedMosfet` populations instead: they sit below a cache
+component's :func:`check_knobs`, which has already checked every knob
+those devices derive from.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from repro.errors import DeviceModelError
-from repro.technology.bptm import Technology
+from repro.technology.bptm import Technology, check_oxide
 from repro.devices import subthreshold as _sub
 from repro.devices import gate_leakage as _gate
 from repro.devices import delay as _delay
+
+
+def check_knobs(technology: Technology, vth, tox) -> None:
+    """Raise unless every device model accepts every (Vth, Tox) knob.
+
+    The evaluation path's one knob check: the cache components run it
+    at their boundary (``evaluate`` and ``evaluate_grid``) and the
+    circuits below it call the device kernels unchecked.  ``vth`` and
+    ``tox`` may be scalars or numpy arrays.  It rejects
+
+    * a non-finite knob (:class:`DeviceModelError`);
+    * ``Tox <= 0`` (:class:`~repro.errors.TechnologyError`, as
+      :meth:`Technology.cox` and the Tox co-scaling rule raise);
+    * ``Vth <= 0``: an OFF device's effective threshold at ``Vgs = 0``
+      is Vth plus non-negative DIBL and body terms, so this is exactly a
+      device in strong inversion (:class:`DeviceModelError`);
+    * ``Vth >= Vdd``: the device never turns on (:class:`DeviceModelError`).
+    """
+    if not isinstance(vth, np.ndarray) and not isinstance(tox, np.ndarray):
+        if not (math.isfinite(vth) and math.isfinite(tox)):
+            raise DeviceModelError(
+                f"knobs must be finite, got Vth={vth}, Tox={tox}"
+            )
+        check_oxide(tox)
+        if vth <= 0:
+            raise DeviceModelError(
+                f"Vth={vth} V <= 0: OFF devices are in strong inversion"
+            )
+    else:
+        if not (np.isfinite(vth).all() and np.isfinite(tox).all()):
+            raise DeviceModelError(
+                f"knobs must be finite, got Vth={vth}, Tox={tox}"
+            )
+        check_oxide(tox)
+        if np.any(np.less_equal(vth, 0)):
+            raise DeviceModelError(
+                f"Vth={vth} V <= 0: OFF devices are in strong inversion"
+            )
+    _delay.check_turns_on(technology, vth)
 
 
 class Polarity(str, enum.Enum):
@@ -103,6 +149,10 @@ class Mosfet:
             tox=self.tox if tox is None else tox,
         )
 
+    def _check_turns_on(self, technology: Technology) -> None:
+        """The drive queries' one check beyond construction: ``Vth < Vdd``."""
+        _delay.check_turns_on(technology, self.vth)
+
     # -- leakage --------------------------------------------------------
 
     def off_subthreshold(
@@ -111,16 +161,29 @@ class Mosfet:
         """Return standby subthreshold current (A) when this device is OFF.
 
         A single device: series stacks scale this by
-        :mod:`repro.devices.stack`'s factor (see the row decoder).
+        :mod:`repro.devices.stack`'s factor (see the row decoder).  At the
+        default full-supply bias a built device is in weak inversion
+        (``Vth > 0``), so only a caller-chosen ``vds`` is checked.
         """
-        return _sub.subthreshold_current(
+        if vds is not None:
+            return _sub.subthreshold_current(
+                technology,
+                width=self.width,
+                leff=self.leff,
+                vth=self.vth,
+                tox=self.tox,
+                vgs=0.0,
+                vds=vds,
+                p_type=self.is_pmos,
+            )
+        return _sub.subthreshold_kernel(
             technology,
             width=self.width,
             leff=self.leff,
             vth=self.vth,
             tox=self.tox,
             vgs=0.0,
-            vds=technology.vdd if vds is None else vds,
+            vds=technology.vdd,
             p_type=self.is_pmos,
         )
 
@@ -134,7 +197,7 @@ class Mosfet:
         """
         if not gate_enabled:
             return 0.0
-        return _gate.gate_tunnel_current(
+        return _gate.gate_tunnel_kernel(
             technology,
             width=self.width,
             lgate=self.lgate,
@@ -165,22 +228,39 @@ class Mosfet:
 
     def on_current(self, technology: Technology) -> float:
         """Return the saturation drive current (A)."""
-        return _delay.on_current(
+        self._check_turns_on(technology)
+        return _delay.on_current_kernel(
             technology, self.width, self.leff, self.vth, self.tox,
             p_type=self.is_pmos,
         )
 
     def resistance(self, technology: Technology) -> float:
         """Return the effective switching resistance (ohm)."""
-        return _delay.effective_resistance(
+        self._check_turns_on(technology)
+        return _delay.resistance_kernel(
             technology, self.width, self.leff, self.vth, self.tox,
             p_type=self.is_pmos,
         )
 
     def input_capacitance(self, technology: Technology) -> float:
         """Return the gate input capacitance (F)."""
-        return _delay.gate_capacitance(technology, self.width, self.lgate, self.tox)
+        return _delay.gate_capacitance_kernel(
+            technology, self.width, self.lgate, self.tox
+        )
 
     def drain_capacitance(self, technology: Technology) -> float:
         """Return the drain junction capacitance (F)."""
-        return _delay.junction_capacitance(technology, self.width)
+        return _delay.junction_capacitance_kernel(technology, self.width)
+
+
+class UncheckedMosfet(Mosfet):
+    """A :class:`Mosfet` that checks nothing, for circuits evaluated
+    below a cache component's :func:`check_knobs`: their widths and
+    lengths are positive constants scaled by a positive Tox factor, and
+    the knobs have been checked."""
+
+    def __post_init__(self) -> None:
+        pass
+
+    def _check_turns_on(self, technology: Technology) -> None:
+        pass

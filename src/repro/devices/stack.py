@@ -27,12 +27,16 @@ import math
 import numpy as np
 
 from repro.errors import DeviceModelError
-from repro.technology.bptm import Technology
+from repro.technology.bptm import Technology, check_oxide
 from repro.devices.subthreshold import (
-    subthreshold_current,
-    subthreshold_prefactor,
+    prefactor_kernel,
+    subthreshold_kernel,
     weak_inversion_current,
 )
+
+#: Most (step, lane) current pairs one block of the shared-path check
+#: evaluates at once, so a large grid checks in bounded memory.
+_CHECK_BLOCK_ELEMENTS = 1 << 16
 
 
 def _stack2_current(
@@ -42,11 +46,15 @@ def _stack2_current(
     leff: float,
     vx: float,
 ) -> tuple:
-    """Return (I_top, I_bottom) of a 2-stack with intermediate node at vx."""
+    """Return (I_top, I_bottom) of a 2-stack with intermediate node at vx.
+
+    Unchecked: :func:`solve_intermediate_node` and
+    :func:`two_stack_factor` check the knobs before they call it.
+    """
     vdd = technology.vdd
     # Top device: source at vx -> Vgs = -vx (gate at 0), Vds = Vdd - vx,
     # body at 0 -> Vsb = vx.
-    i_top = subthreshold_current(
+    i_top = subthreshold_kernel(
         technology,
         width=1.0,
         leff=leff,
@@ -57,7 +65,7 @@ def _stack2_current(
         vsb=vx,
     )
     # The Vgs = -vx reverse gate bias is applied via the exponent shift:
-    # subthreshold_current only accepts vgs >= 0, so fold it into the
+    # the subthreshold model only accepts vgs >= 0, so fold it into the
     # threshold by evaluating with vgs=0 and adding vx to the barrier.
     n_vt = technology.subthreshold_swing_n * technology.thermal_voltage
     if not isinstance(vx, np.ndarray):
@@ -67,7 +75,7 @@ def _stack2_current(
         i_top = i_top * np.exp(-np.asarray(vx, dtype=float) / n_vt)
         vds_bottom = np.maximum(vx, 1e-6)
     # Bottom device: Vgs = 0, Vds = vx.
-    i_bottom = subthreshold_current(
+    i_bottom = subthreshold_kernel(
         technology,
         width=1.0,
         leff=leff,
@@ -77,6 +85,136 @@ def _stack2_current(
         vds=vds_bottom,
     )
     return i_top, i_bottom
+
+
+def _check_stack(vth, tox, leff) -> None:
+    """Raise unless both stacked devices are in weak inversion with a
+    real geometry at every node voltage the solve can try.
+
+    ``Vth > 0`` is the condition: at ``Vgs = 0`` a device's effective
+    threshold is ``Vth`` plus non-negative DIBL and body terms.
+    """
+    if not any(isinstance(knob, np.ndarray) for knob in (vth, tox, leff)):
+        if leff <= 0:
+            raise DeviceModelError(f"Leff must be positive, got {leff}")
+        if vth <= 0:
+            raise DeviceModelError(
+                f"Vth={vth} V <= 0: the stacked devices are in strong inversion"
+            )
+    else:
+        if np.any(np.less_equal(leff, 0)):
+            raise DeviceModelError(f"Leff must be positive, got {leff}")
+        if np.any(np.less_equal(vth, 0)):
+            raise DeviceModelError(
+                f"Vth={vth} V <= 0: the stacked devices are in strong inversion"
+            )
+    check_oxide(tox)
+
+
+def _bisect(technology, vth, tox, leff, tolerance, max_iterations):
+    """The scalar bisection on the ``math`` path.
+
+    Returns ``(vx, mids, charges_up)``: the answer, every midpoint tried
+    and, for each midpoint where the currents did not balance, whether
+    the node charged up there.  The currents balanced at the last
+    midpoint exactly when ``len(charges_up) < len(mids)``.
+    """
+    lo, hi = 0.0, technology.vdd / 2.0
+    mids = []
+    charges_up = []
+    for _ in range(max_iterations):
+        mid = 0.5 * (lo + hi)
+        mids.append(mid)
+        i_top, i_bottom = _stack2_current(technology, vth, tox, leff, mid)
+        if abs(i_top - i_bottom) <= tolerance * max(i_top, i_bottom, 1e-30):
+            return mid, mids, charges_up
+        up = i_top > i_bottom
+        charges_up.append(up)
+        if up:
+            # Node charges up -> raise vx.
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi), mids, charges_up
+
+
+def _lane_currents(technology, i0_ratio, vth, mid, n_vt):
+    """(I_top, I_bottom) of every lane at node voltage ``mid`` on numpy's
+    path: :func:`_stack2_current`'s two devices with the pre-exponential
+    hoisted.  The shared-path check and the lane-wise loop both call
+    this, so their arithmetic is one and the same."""
+    vdd = technology.vdd
+    i_top = weak_inversion_current(
+        technology, i0_ratio, vth, 0.0, vdd - mid, mid
+    ) * np.exp(-mid / n_vt)
+    i_bottom = weak_inversion_current(
+        technology, i0_ratio, vth, 0.0, np.maximum(mid, 1e-6)
+    )
+    return i_top, i_bottom
+
+
+def _balanced(i_top, i_bottom, tolerance):
+    return np.abs(i_top - i_bottom) <= tolerance * np.maximum(
+        np.maximum(i_top, i_bottom), 1e-30
+    )
+
+
+def _lanes_follow(technology, i0_ratio, vth, n_vt, mids, charges_up,
+                  tolerance) -> bool:
+    """True when every lane, at every midpoint of the followed bisection,
+    balances where that bisection balanced and otherwise moves the node
+    the way it did.  Each lane's own bisection then tries the same
+    midpoints and stops at the same one.
+
+    The check runs the lanes of a block of midpoints in one broadcast
+    pass; a large grid takes several blocks.
+    """
+    n_steps = len(mids)
+    lane_axes = (1,) * vth.ndim
+    balances = np.arange(n_steps) == len(charges_up)
+    directions = np.array(charges_up, dtype=bool)
+    block = max(1, _CHECK_BLOCK_ELEMENTS // vth.size)
+    for start in range(0, n_steps, block):
+        stop = min(start + block, n_steps)
+        steps = np.array(mids[start:stop]).reshape((-1,) + lane_axes)
+        i_top, i_bottom = _lane_currents(technology, i0_ratio, vth, steps, n_vt)
+        want = balances[start:stop].reshape((-1,) + lane_axes)
+        if not np.array_equal(_balanced(i_top, i_bottom, tolerance),
+                              np.broadcast_to(want, i_top.shape)):
+            return False
+        moved = min(stop, len(charges_up)) - start
+        if moved > 0:
+            want = directions[start:start + moved].reshape((-1,) + lane_axes)
+            if not np.array_equal(i_top[:moved] > i_bottom[:moved],
+                                  np.broadcast_to(want, i_top[:moved].shape)):
+                return False
+    return True
+
+
+def _lane_wise(technology, i0_ratio, vth, n_vt, tolerance, max_iterations):
+    """Bisect every lane on its own brackets, freezing each lane at the
+    iteration where the scalar algorithm would have returned.  The
+    fallback of :func:`solve_intermediate_node` and its test oracle."""
+    shape = vth.shape
+    lo = np.zeros(shape)
+    hi = np.full(shape, technology.vdd / 2.0)
+    result = np.zeros(shape)
+    done = np.zeros(shape, dtype=bool)
+    for _ in range(max_iterations):
+        mid = 0.5 * (lo + hi)
+        i_top, i_bottom = _lane_currents(technology, i0_ratio, vth, mid, n_vt)
+        converged = _balanced(i_top, i_bottom, tolerance)
+        newly = converged & ~done
+        result[newly] = mid[newly]
+        done |= newly
+        if done.all():
+            break
+        # Node charges up -> raise vx; otherwise lower it.  Frozen lanes
+        # keep their brackets untouched.
+        charges_up = i_top > i_bottom
+        lo = np.where(~done & charges_up, mid, lo)
+        hi = np.where(~done & ~charges_up, mid, hi)
+    return np.where(done, result, 0.5 * (lo + hi))
 
 
 def solve_intermediate_node(
@@ -92,64 +230,37 @@ def solve_intermediate_node(
     The node settles where the current sourced by the top device equals the
     current sunk by the bottom one.  The answer is a few tens of mV.
 
-    ``vth``, ``tox`` and ``leff`` may be numpy arrays; they broadcast and
-    the bisection then runs on every lane simultaneously, freezing each
-    lane at the iteration where the scalar algorithm would have returned,
-    so the vectorized answer is lane-for-lane identical to the scalar one.
+    ``vth``, ``tox`` and ``leff`` may be numpy arrays; they broadcast,
+    and every lane's answer is the one its own scalar bisection gives.
+    ``I_top / I_bottom`` does not depend on Vth or on ``I0 * W / Leff``
+    (both cancel), so all lanes normally share one bisection path: the
+    solve follows the first lane on the scalar path, then checks in one
+    broadcast pass that every lane balances and moves the same way at
+    every midpoint it tried.  If any lane disagrees, every lane is
+    bisected on its own (:func:`_lane_wise`).
     """
+    _check_stack(vth, tox, leff)
     knobs = (vth, tox, leff)
     if not any(isinstance(knob, np.ndarray) for knob in knobs):
-        lo, hi = 0.0, technology.vdd / 2.0
-        for _ in range(max_iterations):
-            mid = 0.5 * (lo + hi)
-            i_top, i_bottom = _stack2_current(technology, vth, tox, leff, mid)
-            if abs(i_top - i_bottom) <= tolerance * max(i_top, i_bottom, 1e-30):
-                return mid
-            if i_top > i_bottom:
-                # Node charges up -> raise vx.
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+        return _bisect(technology, vth, tox, leff, tolerance, max_iterations)[0]
 
     vth_b, tox_b, leff_b = np.broadcast_arrays(
         *(np.atleast_1d(np.asarray(knob, dtype=float)) for knob in knobs)
     )
-    if np.any(np.less_equal(leff_b, 0)):
-        raise DeviceModelError(f"Leff must be positive, got {leff}")
-    # The two devices of :func:`_stack2_current` at every step, with the
-    # loop-invariant pre-exponential hoisted: the bias checks the full
-    # model would repeat hold by construction (0 < mid <= Vdd / 2).
-    i0_ratio = subthreshold_prefactor(technology, tox_b) * (1.0 / leff_b)
+    i0_ratio = prefactor_kernel(technology, tox_b) * (1.0 / leff_b)
     n_vt = technology.subthreshold_swing_n * technology.thermal_voltage
-    vdd = technology.vdd
-    shape = vth_b.shape
-    lo = np.zeros(shape)
-    hi = np.full(shape, vdd / 2.0)
-    result = np.zeros(shape)
-    done = np.zeros(shape, dtype=bool)
-    for _ in range(max_iterations):
-        mid = 0.5 * (lo + hi)
-        i_top = weak_inversion_current(
-            technology, i0_ratio, vth_b, 0.0, vdd - mid, mid
-        ) * np.exp(-mid / n_vt)
-        i_bottom = weak_inversion_current(
-            technology, i0_ratio, vth_b, 0.0, np.maximum(mid, 1e-6)
+    result = None
+    if vth_b.size:
+        vx, mids, charges_up = _bisect(
+            technology, float(vth_b.flat[0]), float(tox_b.flat[0]),
+            float(leff_b.flat[0]), tolerance, max_iterations,
         )
-        converged = np.abs(i_top - i_bottom) <= tolerance * np.maximum(
-            np.maximum(i_top, i_bottom), 1e-30
-        )
-        newly = converged & ~done
-        result[newly] = mid[newly]
-        done |= newly
-        if done.all():
-            break
-        # Node charges up -> raise vx; otherwise lower it.  Frozen lanes
-        # keep their brackets untouched.
-        charges_up = i_top > i_bottom
-        lo = np.where(~done & charges_up, mid, lo)
-        hi = np.where(~done & ~charges_up, mid, hi)
-    result = np.where(done, result, 0.5 * (lo + hi))
+        if _lanes_follow(technology, i0_ratio, vth_b, n_vt, mids,
+                         charges_up, tolerance):
+            result = np.full(vth_b.shape, vx)
+    if result is None:
+        result = _lane_wise(technology, i0_ratio, vth_b, n_vt, tolerance,
+                            max_iterations)
     return result.reshape(
         np.broadcast_shapes(*(np.shape(knob) for knob in knobs))
     )
@@ -170,7 +281,13 @@ def two_stack_factor(
     ``leff`` may be numpy arrays; they broadcast, so a whole design grid
     is one vectorized solve.
     """
-    single = subthreshold_current(
+    _check_stack(vth, tox, leff)
+    return two_stack_factor_kernel(technology, vth, tox, leff)
+
+
+def two_stack_factor_kernel(technology: Technology, vth, tox, leff):
+    """:func:`two_stack_factor` past its check."""
+    single = subthreshold_kernel(
         technology, width=1.0, leff=leff, vth=vth, tox=tox, vgs=0.0,
         vds=technology.vdd,
     )

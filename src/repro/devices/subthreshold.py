@@ -30,7 +30,7 @@ import numpy as np
 
 from repro import units
 from repro.errors import DeviceModelError
-from repro.technology.bptm import Technology
+from repro.technology.bptm import Technology, check_oxide
 
 
 def effective_threshold(
@@ -65,15 +65,23 @@ def effective_threshold(
     return vth + dibl_recovery + body
 
 
-def subthreshold_prefactor(technology: Technology, tox: float, p_type: bool = False) -> float:
+def prefactor_kernel(technology: Technology, tox: float, p_type: bool = False) -> float:
     """Return the BSIM-style pre-exponential I0 (A) for W/Leff = 1.
 
     ``I0 = mu * Cox(tox) * vT^2 * e^1.8``.  The hole branch uses the
-    degraded p-channel mobility.
+    degraded p-channel mobility.  Unchecked: ``tox`` must be positive.
     """
     vt = technology.thermal_voltage
     mobility = technology.mobility_p if p_type else technology.mobility_n
-    return mobility * technology.cox(tox) * vt * vt * math.exp(1.8)
+    return mobility * units.oxide_capacitance_kernel(tox) * vt * vt * math.exp(1.8)
+
+
+def _all_scalar(*values) -> bool:
+    """True unless some value is a numpy array (the ``math`` path)."""
+    for value in values:
+        if isinstance(value, np.ndarray):
+            return False
+    return True
 
 
 def subthreshold_current(
@@ -107,7 +115,9 @@ def subthreshold_current(
 
     ``vth``, ``tox`` and the biases may be numpy arrays; they broadcast
     and the current comes back with the broadcast shape.  Validation is
-    applied element-wise (any offending element raises).
+    applied element-wise (any offending element raises).  The model
+    itself is :func:`subthreshold_kernel`, which callers whose inputs
+    are already checked call directly.
 
     Raises
     ------
@@ -115,19 +125,12 @@ def subthreshold_current(
         If geometry is non-positive or the gate bias puts the device into
         strong inversion (``vgs >= vth_eff``), where this weak-inversion
         model is not valid.
+    TechnologyError
+        If ``tox`` is not positive.
     """
     if vds is None:
         vds = technology.vdd
-    scalar = (
-        not isinstance(width, np.ndarray)
-        and not isinstance(leff, np.ndarray)
-        and not isinstance(vth, np.ndarray)
-        and not isinstance(tox, np.ndarray)
-        and not isinstance(vgs, np.ndarray)
-        and not isinstance(vds, np.ndarray)
-        and not isinstance(vsb, np.ndarray)
-    )
-    if scalar:
+    if _all_scalar(width, leff, vth, tox, vgs, vds, vsb):
         if width <= 0 or leff <= 0:
             raise DeviceModelError(
                 f"transistor geometry must be positive, got W={width}, Leff={leff}"
@@ -142,23 +145,55 @@ def subthreshold_current(
                 f"Vgs={vgs:.3f} V >= effective Vth={vth_eff:.3f} V: device is in "
                 "strong inversion; use repro.devices.delay.on_current instead"
             )
+    else:
+        if np.any(np.less_equal(width, 0)) or np.any(np.less_equal(leff, 0)):
+            raise DeviceModelError(
+                f"transistor geometry must be positive, got W={width}, Leff={leff}"
+            )
+        if np.any(np.less(vds, 0)) or np.any(np.less(vgs, 0)):
+            raise DeviceModelError(
+                f"bias magnitudes must be non-negative, got Vgs={vgs}, Vds={vds}"
+            )
+        vth_eff = effective_threshold(technology, vth, vds, vsb)
+        if np.any(np.greater_equal(vgs, vth_eff)):
+            raise DeviceModelError(
+                f"Vgs={vgs} V >= effective Vth={vth_eff} V: device is in "
+                "strong inversion; use repro.devices.delay.on_current instead"
+            )
+    check_oxide(tox)
+    return subthreshold_kernel(
+        technology, width, leff, vth, tox, vgs, vds, vsb, p_type
+    )
+
+
+def subthreshold_kernel(
+    technology: Technology,
+    width,
+    leff,
+    vth,
+    tox,
+    vgs=0.0,
+    vds=None,
+    vsb=0.0,
+    p_type: bool = False,
+):
+    """:func:`subthreshold_current` past its checks.
+
+    The circuits call this below a cache component's knob check
+    (:func:`repro.devices.mosfet.check_knobs`), where the geometry,
+    biases and Tox are positive by construction.  Scalars run on the
+    ``math`` path, arrays on numpy's (:func:`weak_inversion_current`).
+    """
+    if vds is None:
+        vds = technology.vdd
+    i0 = prefactor_kernel(technology, tox, p_type=p_type)
+    if _all_scalar(width, leff, vth, tox, vgs, vds, vsb):
+        vth_eff = effective_threshold(technology, vth, vds, vsb)
         vt = technology.thermal_voltage
         n = technology.subthreshold_swing_n
-        i0 = subthreshold_prefactor(technology, tox, p_type=p_type)
         exponent = (vgs - vth_eff) / (n * vt)
         drain_term = 1.0 - math.exp(-vds / vt) if vds > 0 else 0.0
         return i0 * (width / leff) * math.exp(exponent) * drain_term
-
-    if np.any(np.less_equal(width, 0)) or np.any(np.less_equal(leff, 0)):
-        raise DeviceModelError(
-            f"transistor geometry must be positive, got W={width}, Leff={leff}"
-        )
-    if np.any(np.less(vds, 0)) or np.any(np.less(vgs, 0)):
-        raise DeviceModelError(
-            f"bias magnitudes must be non-negative, got Vgs={vgs}, Vds={vds}"
-        )
-
-    i0 = subthreshold_prefactor(technology, tox, p_type=p_type)
     return weak_inversion_current(
         technology, i0 * (width / leff), vth, vgs, vds, vsb
     )
@@ -172,20 +207,14 @@ def weak_inversion_current(
     vds,
     vsb=0.0,
 ):
-    """The array branch of :func:`subthreshold_current` past its geometry
-    and bias checks.
+    """The array form of :func:`subthreshold_kernel` on a hoisted
+    pre-exponential.
 
     ``i0_ratio`` is the pre-exponential times ``W / Leff``.  An iterative
     solver that evaluates the same devices at many biases (the stack
-    node's bisection) computes it once and checks its inputs once; only
-    the strong-inversion check depends on the bias and stays here.
+    node's bisection) computes it once.  Nothing is checked here.
     """
     vth_eff = effective_threshold(technology, vth, vds, vsb)
-    if np.any(np.greater_equal(vgs, vth_eff)):
-        raise DeviceModelError(
-            f"Vgs={vgs} V >= effective Vth={vth_eff} V: device is in "
-            "strong inversion; use repro.devices.delay.on_current instead"
-        )
     vt = technology.thermal_voltage
     n = technology.subthreshold_swing_n
     exponent = (vgs - vth_eff) / (n * vt)

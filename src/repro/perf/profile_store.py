@@ -130,8 +130,22 @@ class MissSurface:
     l2_rates: Tuple[Tuple[int, int, float], ...]
 
     def _rates(self, level: str) -> Dict[Tuple[int, int], float]:
-        rates = self.l1_rates if level == "l1" else self.l2_rates
-        return {(sets, assoc): rate for sets, assoc, rate in rates}
+        """The level's ``(n_sets, assoc) -> rate`` lookup, built on first
+        use and kept on the surface (outside its fields, so equality,
+        ``repr`` and the disk payload never see it)."""
+        lookups = self.__dict__.get("_lookups")
+        if lookups is None:
+            lookups = {"l1": _rate_map(self.l1_rates),
+                       "l2": _rate_map(self.l2_rates)}
+            # Frozen: set it the way ``__init__`` sets the fields.
+            object.__setattr__(self, "_lookups", lookups)
+        return lookups["l1" if level == "l1" else "l2"]
+
+    def __getstate__(self) -> dict:
+        # Pickles carry the fields alone, byte for byte as before the
+        # lookups existed; an unpickled surface rebuilds them on use.
+        return {name: value for name, value in self.__dict__.items()
+                if name != "_lookups"}
 
     def _block(self, level: str) -> int:
         return self.l1_block_bytes if level == "l1" else self.l2_block_bytes
@@ -156,6 +170,11 @@ class MissSurface:
     def l2_local_miss_rate(self, size_bytes: int,
                            associativity: int) -> float:
         return self.miss_rate("l2", size_bytes, associativity)
+
+
+def _rate_map(rates: Tuple[Tuple[int, int, float], ...]
+              ) -> Dict[Tuple[int, int], float]:
+    return {(sets, assoc): rate for sets, assoc, rate in rates}
 
 
 def sets_for(level: str, size_bytes: int, associativity: int,

@@ -178,17 +178,27 @@ class Technology:
         """Gate-oxide capacitance per unit area (F/m^2) for thickness ``tox`` (m).
 
         ``tox`` may be a numpy array; the capacitance broadcasts with it.
+        The device kernels call :func:`repro.units.oxide_capacitance_kernel`
+        directly, past this check.
         """
-        if not isinstance(tox, _np.ndarray):
-            if tox <= 0:
-                raise TechnologyError(f"tox must be positive, got {tox}")
-        elif _np.any(_np.less_equal(tox, 0)):
-            raise TechnologyError(f"tox must be positive, got {tox}")
-        return units.oxide_capacitance_per_area(tox)
+        check_oxide(tox)
+        return units.oxide_capacitance_kernel(tox)
 
     def with_temperature(self, temperature_k: float) -> "Technology":
         """Return a copy of this technology at a different junction temperature."""
         return dataclasses.replace(self, temperature=temperature_k)
+
+
+def check_oxide(tox) -> None:
+    """Raise :class:`TechnologyError` unless every ``tox`` (m) is positive.
+
+    ``tox`` may be a scalar or a numpy array.
+    """
+    if not isinstance(tox, _np.ndarray):
+        if tox <= 0:
+            raise TechnologyError(f"tox must be positive, got {tox}")
+    elif _np.any(_np.less_equal(tox, 0)):
+        raise TechnologyError(f"tox must be positive, got {tox}")
 
 
 def bptm65() -> Technology:

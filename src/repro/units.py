@@ -234,6 +234,15 @@ def oxide_capacitance_per_area(tox_m: float) -> float:
             raise ValueError(f"oxide thickness must be positive, got {tox_m!r}")
     elif np.any(np.less_equal(tox_m, 0.0)):
         raise ValueError(f"oxide thickness must be positive, got {tox_m!r}")
+    return oxide_capacitance_kernel(tox_m)
+
+
+def oxide_capacitance_kernel(tox_m: float) -> float:
+    """:func:`oxide_capacitance_per_area` past its check: ``eps / Tox``.
+
+    For callers whose Tox is already known positive (the device kernels
+    below a component's knob check).
+    """
     return EPSILON_SIO2 / tox_m
 
 

@@ -11,11 +11,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import units
 from repro.cache.cache_model import CacheModel
 from repro.cache.config import l1_config, l2_config
 from repro.errors import DeviceModelError
+from repro.technology.bptm import bptm65
 from repro.experiments.figure2 import fast_space
 from repro.optimize.space import default_space
 from repro.technology.nodes import NODES, SCALING_STYLES, node_technology
@@ -172,6 +174,121 @@ class TestDecoderStackSolve:
             _assert_grid_equals_per_column(model, small_space)
 
 
+class TestNandPerFanIn:
+    """The decoder prices one idle NAND per distinct fan-in and sums the
+    gates in their old order."""
+
+    @staticmethod
+    def _per_gate_leakage(decoder, vth, tox):
+        """The decoder's leakage with one ``_nand_leakage`` per gate
+        bank, as it was summed before gates of one fan-in shared one."""
+        from repro.circuits.logical_effort import optimal_buffer_chain
+        from repro.devices.stack import two_stack_factor_kernel
+
+        tech = decoder.technology
+        geometry = decoder.rule.geometry(tox)
+        factor = two_stack_factor_kernel(tech, vth, tox, geometry.leff)
+        leakage = 0.0
+        for group in decoder.groups:
+            leakage += (2 ** group) * decoder._nand_leakage(
+                group, vth, geometry, factor
+            )
+        leakage += decoder.n_rows * decoder._nand_leakage(
+            len(decoder.groups), vth, geometry, factor
+        )
+        chain = optimal_buffer_chain(
+            tech,
+            load_capacitance=(decoder.wordline_wire.capacitance
+                              + decoder.wordline_cell_load),
+            leff=geometry.leff,
+            lgate=geometry.lgate_drawn,
+            vth=vth,
+            tox=tox,
+            gate_enabled=decoder.gate_enabled,
+        )
+        return leakage + decoder.n_rows * (
+            chain.subthreshold_leakage + chain.gate_leakage
+        )
+
+    @pytest.mark.parametrize("config, groups, calls", [
+        (l2_config(1024), [2, 2, 2, 3], 3),
+        (l1_config(16), [2, 2, 2], 2),
+    ])
+    def test_one_nand_leakage_per_fan_in(self, config, groups, calls,
+                                         monkeypatch):
+        from repro.circuits.decoder import RowDecoder
+
+        block = CacheModel(config).components["decoder"]
+        vths, toxes = _axes(default_space())
+        vth, tox = vths[:, None], toxes[None, :]
+        decoder = block._decoder_at(vth, tox)
+        assert decoder.groups == groups
+        want = self._per_gate_leakage(decoder, vth, tox)
+
+        fan_ins = []
+        nand_leakage = RowDecoder._nand_leakage
+
+        def counted(self, fan_in, *args):
+            fan_ins.append(fan_in)
+            return nand_leakage(self, fan_in, *args)
+
+        monkeypatch.setattr(RowDecoder, "_nand_leakage", counted)
+        got = decoder.evaluate(vth, tox).leakage_current
+        assert len(fan_ins) == calls
+        assert sorted(fan_ins) == sorted(set(groups) | {len(groups)})
+        assert np.array_equal(got, want)
+
+
+#: 65 nm supply: the Vth axis's upper bound.
+VDD = bptm65().vdd
+
+#: Knob values every device model accepts, and values some reject.
+GOOD_VTH = st.floats(min_value=0.05, max_value=0.95 * VDD)
+BAD_VTH = st.sampled_from(
+    [-0.1, -0.0, 0.0, VDD, VDD + 0.2, math.nan, math.inf, -math.inf]
+)
+GOOD_TOX = st.floats(min_value=8.0, max_value=20.0).map(units.angstrom)
+BAD_TOX = st.sampled_from(
+    [-units.angstrom(12.0), 0.0, math.nan, math.inf, -math.inf]
+)
+
+
+def _raised(call):
+    """The class ``call`` raises, or None."""
+    try:
+        call()
+    except Exception as error:  # noqa: BLE001 - the class is the result
+        return type(error)
+    return None
+
+
+class TestBoundaryCheck:
+    """``evaluate_grid`` checks its axes once and nothing below it
+    re-checks: it must raise exactly when the scalar ``evaluate``
+    raises at some grid point, with that point's error class."""
+
+    MODEL = CacheModel(l1_config(16))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        vths=st.lists(st.one_of(GOOD_VTH, GOOD_VTH, BAD_VTH),
+                      min_size=1, max_size=3),
+        toxes=st.lists(st.one_of(GOOD_TOX, GOOD_TOX, BAD_TOX),
+                       min_size=1, max_size=3),
+    )
+    def test_grid_raises_when_a_scalar_point_does(self, vths, toxes):
+        for name, block in self.MODEL.components.items():
+            scalar = {
+                _raised(lambda: block.evaluate(vth, tox))
+                for vth in vths for tox in toxes
+            } - {None}
+            grid = _raised(lambda: block.evaluate_grid(vths, toxes))
+            if scalar:
+                assert grid in scalar, (name, vths, toxes, grid, scalar)
+            else:
+                assert grid is None, (name, vths, toxes, grid)
+
+
 class TestWholeGridPass:
     """One broadcast pass over the grid equals the per-column loop."""
 
@@ -213,17 +330,19 @@ class TestWholeGridPass:
     ):
         """Each Vth-dependent device call runs once per grid.  The
         thickest Tox has the most buffer stages, so a one-column grid
-        there makes as many calls as the whole 13 x 9 grid."""
+        there makes as many calls as the whole 13 x 9 grid.  Below the
+        component's knob check the circuits call the unchecked kernel,
+        so that is what is counted."""
         from repro.devices import subthreshold
 
         calls = []
-        current = subthreshold.subthreshold_current
+        current = subthreshold.subthreshold_kernel
 
         def counted(*args, **kwargs):
             calls.append(1)
             return current(*args, **kwargs)
 
-        monkeypatch.setattr(subthreshold, "subthreshold_current", counted)
+        monkeypatch.setattr(subthreshold, "subthreshold_kernel", counted)
         vths, toxes = _axes(default_space())
         assert (vths.size, toxes.size) == (13, 9)
         for block in CacheModel(l2_config(1024)).components.values():

@@ -4,12 +4,17 @@ import numpy as np
 import pytest
 
 from repro import units
+from repro.cache.cache_model import CacheModel
+from repro.cache.config import l1_config, l2_config
 from repro.errors import DeviceModelError
 from repro.devices.stack import (
     deeper_stack_factor,
     solve_intermediate_node,
     two_stack_factor,
 )
+from repro.experiments.figure2 import fast_space
+from repro.optimize.space import default_space
+from repro.technology.nodes import NODES, SCALING_STYLES, node_technology
 
 
 class TestIntermediateNode:
@@ -115,3 +120,90 @@ class TestFactor:
         ratio; evaluate at two Vth values to confirm it stays in range."""
         for vth in (0.2, 0.5):
             assert 0.001 < self._factor2(technology, vth) < 0.5
+
+
+def _lane_wise(technology, vth, tox, leff, monkeypatch):
+    """The oracle: every lane bisected on its own, the solve's fallback."""
+    from repro.devices import stack
+
+    with monkeypatch.context() as patch:
+        patch.setattr(stack, "_lanes_follow", lambda *args: False)
+        return solve_intermediate_node(technology, vth, tox, leff)
+
+
+def _count_lane_wise(monkeypatch):
+    from repro.devices import stack
+
+    calls = []
+    lane_wise = stack._lane_wise
+
+    def counted(*args):
+        calls.append(1)
+        return lane_wise(*args)
+
+    monkeypatch.setattr(stack, "_lane_wise", counted)
+    return calls
+
+
+class TestSharedPath:
+    """Every lane of an E9 grid follows one bisection path; the solve
+    checks that and otherwise bisects lane by lane."""
+
+    @pytest.mark.parametrize("style", SCALING_STYLES)
+    @pytest.mark.parametrize("node", NODES)
+    def test_e9_grids_equal_the_lane_wise_loop(self, node, style,
+                                               monkeypatch):
+        technology = node_technology(node, style)
+        for space in (default_space(technology=technology),
+                      fast_space(technology)):
+            vths = np.asarray(space.vth_values, dtype=float)[:, None]
+            toxes = units.angstrom(
+                np.asarray(space.tox_values_angstrom))[None, :]
+            for config in (l1_config(16), l2_config(1024)):
+                block = CacheModel(config, technology=technology)
+                leff = block.components["decoder"].rule.geometry(toxes).leff
+                want = _lane_wise(technology, vths, toxes, leff, monkeypatch)
+                calls = _count_lane_wise(monkeypatch)
+                got = solve_intermediate_node(technology, vths, toxes, leff)
+                assert calls == []  # the shared path answered
+                assert np.array_equal(got, want)
+
+    def test_disagreeing_lane_falls_back(self, technology, monkeypatch):
+        """Swap the followed lane's currents: its path then leads the
+        wrong way, the check catches it and every lane is bisected on
+        its own."""
+        from repro.devices import stack
+
+        vths = np.linspace(0.2, 0.5, 7)[:, None]
+        toxes = units.angstrom(np.array([10.0, 12.0, 14.0]))[None, :]
+        leff = technology.leff * np.array([[0.9, 1.0, 1.1]])
+        want = _lane_wise(technology, vths, toxes, leff, monkeypatch)
+        currents = stack._stack2_current
+
+        def swapped(*args):
+            i_top, i_bottom = currents(*args)
+            if isinstance(args[-1], np.ndarray):
+                return i_top, i_bottom
+            return i_bottom, i_top
+
+        monkeypatch.setattr(stack, "_stack2_current", swapped)
+        calls = _count_lane_wise(monkeypatch)
+        got = solve_intermediate_node(technology, vths, toxes, leff)
+        assert calls == [1]
+        assert np.array_equal(got, want)
+
+    def test_checks_in_blocks(self, technology, monkeypatch):
+        """A grid too large for one check block checks in several and
+        gives the same answer."""
+        from repro.devices import stack
+
+        vths = np.linspace(0.2, 0.5, 13)[:, None]
+        toxes = units.angstrom(np.linspace(10.0, 14.0, 9))[None, :]
+        leff = technology.leff * toxes / technology.tox_ref
+        whole = solve_intermediate_node(technology, vths, toxes, leff)
+        monkeypatch.setattr(stack, "_CHECK_BLOCK_ELEMENTS", vths.size * 5)
+        calls = _count_lane_wise(monkeypatch)
+        assert np.array_equal(
+            solve_intermediate_node(technology, vths, toxes, leff), whole
+        )
+        assert calls == []

@@ -240,3 +240,60 @@ class TestRegistry:
         )
         with pytest.raises(SimulationError):
             surface.l1_miss_rate(256 * 1024, 2)  # off-surface shape
+
+
+class TestLookup:
+    """``miss_rate`` looks shapes up in a per-level mapping that each
+    surface builds once, outside its fields."""
+
+    def test_mapping_is_built_once_per_surface(self, tmp_path,
+                                               monkeypatch):
+        surface = ProfileStore(tmp_path).surface(
+            SPEC2000_LIKE, n_accesses=N_SMALL
+        )
+        built = []
+        rate_map = profile_store_module._rate_map
+
+        def counted(rates):
+            built.append(rates)
+            return rate_map(rates)
+
+        monkeypatch.setattr(profile_store_module, "_rate_map", counted)
+        for _ in range(3):
+            for kb in (8, 16, 32):
+                surface.l1_miss_rate(kb * 1024, 2)
+            surface.l2_local_miss_rate(1024 * 1024, 8)
+        assert built == [surface.l1_rates, surface.l2_rates]
+
+    def test_served_slices_match_the_fields(self, tmp_path):
+        """Every shape reads the rate its field entry holds, from a
+        computed surface and from the one a fresh store serves."""
+        first = ProfileStore(tmp_path).surface(
+            SPEC2000_LIKE, n_accesses=N_SMALL
+        )
+        served = ProfileStore(tmp_path).surface(
+            SPEC2000_LIKE, n_accesses=N_SMALL
+        )
+        assert served is not first and served == first
+        for surface in (first, served):
+            for level, rates, block in (("l1", surface.l1_rates, 32),
+                                        ("l2", surface.l2_rates, 64)):
+                for sets, assoc, rate in rates:
+                    size = sets * assoc * block
+                    assert surface.miss_rate(level, size, assoc) == rate
+
+    def test_lookups_stay_out_of_equality_and_pickles(self, tmp_path):
+        import pickle
+
+        surface = ProfileStore(tmp_path).surface(
+            SPEC2000_LIKE, n_accesses=N_SMALL
+        )
+        before = pickle.dumps(surface)
+        untouched = pickle.loads(before)
+        surface.l1_miss_rate(16 * 1024, 2)
+        assert pickle.dumps(surface) == before
+        assert untouched == surface and hash(untouched) == hash(surface)
+        assert repr(untouched) == repr(surface)
+        assert pickle.loads(before).l1_miss_rate(16 * 1024, 2) == (
+            surface.l1_miss_rate(16 * 1024, 2)
+        )
