@@ -15,7 +15,8 @@ from typing import List
 
 from repro import units
 from repro.cache.assignment import Assignment
-from repro.errors import OptimizationError
+from repro.errors import OptimizationError, TechnologyError
+from repro.technology.bptm import check_design_box
 
 
 @dataclass(frozen=True)
@@ -42,6 +43,15 @@ class KnobSensitivity:
         return saved / self.delay_delta
 
 
+def _in_box(technology, **knobs) -> bool:
+    """Whether the knob values pass :func:`check_design_box`."""
+    try:
+        check_design_box(technology, **knobs)
+    except TechnologyError:
+        return False
+    return True
+
+
 def knob_sensitivities(
     model,
     assignment: Assignment,
@@ -50,8 +60,9 @@ def knob_sensitivities(
 ) -> List[KnobSensitivity]:
     """Return per-component sensitivities of raising each knob one step.
 
-    Moves that would leave the design box of ``model``'s technology are
-    skipped (the report covers the feasible moves only).
+    Moves that would leave the design box of ``model``'s technology
+    (:func:`~repro.technology.bptm.check_design_box`) are skipped: the
+    report covers the feasible moves only.
     """
     if vth_step <= 0 or tox_step_angstrom <= 0:
         raise OptimizationError("sensitivity steps must be positive")
@@ -60,7 +71,7 @@ def knob_sensitivities(
     for name, point in assignment.components():
         component = model.components[name]
         base = component.evaluate(point.vth, point.tox)
-        if point.vth + vth_step <= technology.vth_max + 1e-12:
+        if _in_box(technology, vths=(point.vth + vth_step,)):
             up = component.evaluate(point.vth + vth_step, point.tox)
             results.append(
                 KnobSensitivity(
@@ -72,7 +83,7 @@ def knob_sensitivities(
                 )
             )
         tox_a = units.to_angstrom(point.tox)
-        if tox_a + tox_step_angstrom <= technology.tox_max_a + 1e-9:
+        if _in_box(technology, toxes_a=(tox_a + tox_step_angstrom,)):
             up = component.evaluate(
                 point.vth, units.angstrom(tox_a + tox_step_angstrom)
             )

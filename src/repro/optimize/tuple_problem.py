@@ -22,17 +22,28 @@ Solution method (exact over the discrete grid):
    sum a subset's component fronts into whole-cache assignments one
    component at a time, pruning the partial sums after each step.
    Dominated cache assignments can never appear in a system optimum
-   because AMAT and total energy are both monotone in all three;
+   because AMAT and total energy are both monotone in all three.
+   Before each prune, partial sums that cannot reach the budget's
+   running front are dropped (step 4);
 3. combine each subset's L1 options x L2 options into system (AMAT,
    total energy) points using the Section 5 energy metric;
 4. the budget's curve is the Pareto front of all points over all value
    choices.  Budgets are solved in ascending k x m, each seeded with the
    front of the solved budgets it contains (no more values of either
-   knob, so every seed point is achievable under it).  Cloud points a
-   seed point weakly dominates are dropped before one 2-D prune of the
-   seed plus the survivors (:func:`_extend_front`); the clouds are built
-   in chunks of subsets against the running front, so memory is bounded
-   by one chunk rather than by a whole budget.
+   knob, so every seed point is achievable under it), and the front is
+   extended after every subset (:func:`_extend_front`), so each subset
+   is bounded against the newest front.  A subset's *corner* per cache
+   is its component column minima summed in component order; a subset
+   whose (L1 corner, L2 corner) system point the front weakly dominates
+   is skipped whole.  A partial sum's bound is the row plus the
+   remaining components' minima, added one at a time in component
+   order, combined with the other cache's corner; a row whose bound the
+   front weakly dominates is dropped.  Exact: costs, miss rates,
+   ``fill_factor`` and the memory terms are finite and ``>= 0``, so
+   every system cost is non-decreasing in every cache cost, and IEEE
+   ``+`` and ``*`` round monotonically, so a bound computed in the
+   same operation order is ``<=`` every completion on both axes.  A
+   weakly dominated point cannot change the front's values.
 """
 
 from __future__ import annotations
@@ -122,10 +133,6 @@ class TupleCurve:
         return len(self.amats)
 
 
-#: Cloud rows gathered before each 2-D prune against the running front.
-_CHUNK_ROWS = 1 << 15
-
-
 @dataclass(frozen=True)
 class _CacheOptions:
     """Pareto-pruned whole-cache assignment costs for one pair subset."""
@@ -181,14 +188,21 @@ def _subset_fronts(
     subset's component front at once, the same index sets
     ``pareto_indices`` picks subset by subset.  Returns one such
     ``(n_subsets, n_points)`` matrix per component.
+
+    Costs must be finite and ``>= 0``: the bounds of
+    :func:`solve_tuple_problem` rest on every system cost being
+    non-decreasing in every cache cost, and NaN has no order at all.
     """
     n = members.shape[1]
     # earlier[j, i]: j < i, the duplicate tie-break.
     earlier = np.triu(np.ones((n, n), dtype=bool), k=1)
     fronts = []
     for costs in stacked:
-        if np.isnan(costs).any():  # NaN is unordered: no front exists
-            raise OptimizationError("costs contain NaN")
+        if not (np.isfinite(costs) & (costs >= 0)).all():
+            raise OptimizationError(
+                "costs must be finite and >= 0 (found NaN, infinite or "
+                "negative entries)"
+            )
         weak = np.ones((n, n), dtype=bool)
         strict = earlier.copy()
         for column in costs.T:
@@ -198,9 +212,41 @@ def _subset_fronts(
     return fronts
 
 
+def _subset_minima(
+    stacked: List[np.ndarray], fronts: List[np.ndarray]
+) -> np.ndarray:
+    """Every subset's per-component column minima,
+    ``(n_subsets, n_components, 3)``.
+
+    A column's minimum over a subset is reached on its front, so these
+    are also the minima over the whole subset.
+    """
+    return np.stack(
+        [
+            np.where(front[:, :, None], costs, np.inf).min(axis=1)
+            for costs, front in zip(stacked, fronts)
+        ],
+        axis=1,
+    )
+
+
+def _corners(minima: np.ndarray) -> np.ndarray:
+    """Each subset's cache corner, ``(n_subsets, 3)``: the component
+    minima summed in :data:`COMPONENT_NAMES` order, the order every
+    option is summed in, so no option is below it on any cost."""
+    corner = minima[:, 0]
+    for component in range(1, minima.shape[1]):
+        corner = corner + minima[:, component]
+    return corner
+
+
 def _cache_options(
-    stacked: List[np.ndarray], fronts: List[np.ndarray], row: int
-) -> _CacheOptions:
+    stacked: List[np.ndarray],
+    fronts: List[np.ndarray],
+    row: int,
+    minima: np.ndarray,
+    dominated,
+) -> Optional[_CacheOptions]:
     """Sum one subset's component fronts into pruned whole-cache options.
 
     Components are combined one at a time, pruning the partial sums after
@@ -208,20 +254,57 @@ def _cache_options(
     over components: a dominated partial sum stays dominated whatever the
     remaining components add.  The intermediate fronts stay small, so
     this never materialises the full ``n^4`` product.
+
+    Unless ``dominated`` (a mask function of whole-cache lower-bound
+    rows) is ``None``, each partial-sum row is first bounded: the
+    remaining components' rows of ``minima`` (the subset's
+    ``(n_components, 3)`` minima) are added to it one at a time in
+    component order, as its completions are summed, so the bound is
+    below every completion on every cost.  Rows whose bound
+    ``dominated`` marks are dropped before the prune; returns ``None``
+    if none is left.
     """
     costs = None
-    for component_costs, front in zip(stacked, fronts):
+    for step, (component_costs, front) in enumerate(zip(stacked, fronts)):
         subset = component_costs[front[row]]
         if costs is None:
             costs = subset
-        else:
-            costs = (costs[:, None, :] + subset[None, :, :]).reshape(-1, 3)
-            costs = costs[pareto_indices(costs)]
+            continue
+        costs = (costs[:, None, :] + subset[None, :, :]).reshape(-1, 3)
+        if dominated is not None:
+            bound = costs
+            for rest in minima[step + 1:]:
+                bound = bound + rest
+            costs = costs[~dominated(bound)]
+            if not len(costs):
+                return None
+        costs = costs[pareto_indices(costs)]
     return _CacheOptions(
         delays=np.ascontiguousarray(costs[:, 0]),
         leakages=np.ascontiguousarray(costs[:, 1]),
         energies=np.ascontiguousarray(costs[:, 2]),
     )
+
+
+def _system_costs(l1, l2, m1, m2, memory: MainMemoryModel, fill_factor):
+    """(AMAT, total energy) of L1 (delay, leakage, energy) costs against
+    L2 costs; the six arrays broadcast together.
+
+    Non-decreasing in every cache cost when the costs, miss rates,
+    ``fill_factor`` and memory terms are ``>= 0``, also under IEEE
+    rounding: every step is a ``+`` or a ``*`` of non-negative operands.
+    """
+    l1_delays, l1_leakages, l1_energies = l1
+    l2_delays, l2_leakages, l2_energies = l2
+    amat = l1_delays + m1 * (l2_delays + m2 * memory.latency)
+    # Dynamic energy per reference (see DynamicEnergyModel):
+    #   E = EL1 (1 + f m1) + EL2 m1 (1 + f m2) + m1 m2 Emem.
+    dynamic = (
+        l1_energies * (1.0 + fill_factor * m1)
+        + l2_energies * (m1 * (1.0 + fill_factor * m2))
+        + m1 * m2 * memory.energy_per_access
+    )
+    return amat, dynamic + (l1_leakages + l2_leakages) * amat
 
 
 def _combine_system(
@@ -233,31 +316,35 @@ def _combine_system(
     fill_factor: float,
 ) -> np.ndarray:
     """Return (n_l1 * n_l2, 2) [AMAT, total energy] points."""
-    amat = l1.delays[:, None] + m1 * (l2.delays[None, :] + m2 * memory.latency)
-    # Dynamic energy per reference (see DynamicEnergyModel):
-    #   E = EL1 (1 + f m1) + EL2 m1 (1 + f m2) + m1 m2 Emem.
-    dynamic = (
-        l1.energies[:, None] * (1.0 + fill_factor * m1)
-        + l2.energies[None, :] * (m1 * (1.0 + fill_factor * m2))
-        + m1 * m2 * memory.energy_per_access
+    amat, total = _system_costs(
+        (l1.delays[:, None], l1.leakages[:, None], l1.energies[:, None]),
+        (l2.delays[None, :], l2.leakages[None, :], l2.energies[None, :]),
+        m1, m2, memory, fill_factor,
     )
-    total = dynamic + (l1.leakages[:, None] + l2.leakages[None, :]) * amat
     return np.column_stack([amat.ravel(), total.ravel()])
+
+
+def _covered(front: np.ndarray, amats, energies) -> np.ndarray:
+    """Mask of the (AMAT, energy) points ``front`` weakly dominates.
+
+    ``front`` is a 2-D Pareto front sorted by ascending AMAT, so its
+    energies descend: the front point with the largest AMAT ``<=`` a
+    point's has the least energy of all front points at least as fast,
+    and one ``searchsorted`` finds it.
+    """
+    at = np.searchsorted(front[:, 0], amats, side="right") - 1
+    return (at >= 0) & (front[np.maximum(at, 0), 1] <= energies)
 
 
 def _extend_front(front: np.ndarray, cloud: np.ndarray) -> np.ndarray:
     """Return the (AMAT, energy) front of ``front`` plus ``cloud``.
 
-    ``front`` is a 2-D Pareto front sorted by ascending AMAT, so its
-    energies descend, and so is the result.  The front point with the
-    largest AMAT ``<=`` a cloud point's has the least energy of all front
-    points at least as fast; one ``searchsorted`` finds it, and the cloud
-    points it weakly dominates are dropped before the one 2-D prune.
+    ``front`` is sorted by ascending AMAT, and so is the result.  The
+    cloud points it weakly dominates (:func:`_covered`) are dropped
+    before the one 2-D prune.
     """
     if len(front):
-        at = np.searchsorted(front[:, 0], cloud[:, 0], side="right") - 1
-        covered = (at >= 0) & (front[np.maximum(at, 0), 1] <= cloud[:, 1])
-        cloud = cloud[~covered]
+        cloud = cloud[~_covered(front, cloud[:, 0], cloud[:, 1])]
     merged = np.vstack([front, cloud])
     merged = merged[pareto_indices_2d(merged)]
     return merged[np.argsort(merged[:, 0], kind="stable")]
@@ -302,10 +389,20 @@ def solve_tuple_problem(
 
     m1 = miss_model.l1_miss_rate(l1_model.config.size_bytes)
     m2 = miss_model.l2_local_miss_rate(l2_model.config.size_bytes)
+    # The bounds need every system cost monotone in every cache cost.
+    check_energy_input("l1 miss rate", m1)
+    check_energy_input("l2 miss rate", m2)
     l1_stacked = _stacked_costs(component_tables(l1_model, space))
     l2_stacked = _stacked_costs(component_tables(l2_model, space))
     l1_fronts = _subset_fronts(l1_stacked, members)
     l2_fronts = _subset_fronts(l2_stacked, members)
+    l1_minima = _subset_minima(l1_stacked, l1_fronts)
+    l2_minima = _subset_minima(l2_stacked, l2_fronts)
+    l1_corners = _corners(l1_minima)
+    l2_corners = _corners(l2_minima)
+
+    def system(l1, l2):
+        return _system_costs(l1, l2, m1, m2, memory, fill_factor)
 
     solved: Dict[TupleBudget, np.ndarray] = {}
     end = 0
@@ -317,20 +414,30 @@ def solve_tuple_problem(
         front = np.empty((0, 2))
         if contained:
             front = _extend_front(front, np.vstack(contained))
-        chunk: List[np.ndarray] = []
-        chunk_rows = 0
         start, end = end, end + len(group)
         for row in range(start, end):
-            cloud = _combine_system(
-                _cache_options(l1_stacked, l1_fronts, row),
-                _cache_options(l2_stacked, l2_fronts, row),
-                m1, m2, memory, fill_factor,
+            l1_corner, l2_corner = l1_corners[row], l2_corners[row]
+            bounded = len(front) > 0
+            if bounded and _covered(front, *system(l1_corner, l2_corner)):
+                continue
+            l1 = _cache_options(
+                l1_stacked, l1_fronts, row, l1_minima[row],
+                (lambda rows: _covered(front, *system(rows.T, l2_corner)))
+                if bounded else None,
             )
-            chunk.append(cloud)
-            chunk_rows += len(cloud)
-            if chunk_rows >= _CHUNK_ROWS or row == end - 1:
-                front = _extend_front(front, np.vstack(chunk))
-                chunk, chunk_rows = [], 0
+            if l1 is None:
+                continue
+            l2 = _cache_options(
+                l2_stacked, l2_fronts, row, l2_minima[row],
+                (lambda rows: _covered(front, *system(l1_corner, rows.T)))
+                if bounded else None,
+            )
+            if l2 is None:
+                continue
+            front = _extend_front(
+                front,
+                _combine_system(l1, l2, m1, m2, memory, fill_factor),
+            )
         solved[budget] = front
     return {
         budget: TupleCurve(

@@ -21,6 +21,7 @@ length follows the oxide.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,6 +62,12 @@ class ScaledGeometry:
         return self.cell_height * self.cell_width
 
 
+#: Most distinct Tox values or Tox rows one rule keeps memoised.  A
+#: cold explore query asks for a few dozen; only long-lived models
+#: priced at ever-new knobs (the service's shared models) ever evict.
+GEOMETRY_CAPACITY = 256
+
+
 @dataclass(frozen=True)
 class ToxScalingRule:
     """The paper's Tox -> (channel length, cell geometry) coupling.
@@ -78,6 +85,11 @@ class ToxScalingRule:
 
     technology: Technology
     length_exponent: float = 0.6
+
+    def __post_init__(self) -> None:
+        # Not a field: the memo takes no part in equality, hashing,
+        # ``repr`` or the fingerprints built from a rule's fields.
+        object.__setattr__(self, "_geometries", OrderedDict())
 
     def length_scale(self, tox: float) -> float:
         """Return the drawn-length multiplier for oxide thickness ``tox`` (m).
@@ -100,11 +112,32 @@ class ToxScalingRule:
         """Return the full scaled geometry for oxide thickness ``tox`` (m).
 
         ``tox`` may be a numpy array (a row of Tox grid columns); every
-        length then has its shape (see :meth:`length_scale`).
+        length then has its shape (see :meth:`length_scale`), and every
+        array of the geometry is read-only.  Each distinct Tox (by type
+        and value) or Tox row (by shape and bytes) is computed once per
+        rule and then served from a memo of at most
+        :data:`GEOMETRY_CAPACITY` entries, oldest evicted first.
         """
+        if isinstance(tox, np.ndarray):
+            key = (tox.shape, tox.dtype.str, tox.tobytes())
+        else:
+            key = (type(tox), tox)
+        memo = self._geometries
+        geometry = memo.get(key)
+        if geometry is None:
+            if isinstance(tox, np.ndarray):
+                tox = tox.copy()
+            geometry = memo[key] = self._scaled(tox)
+            # ``popitem`` is one call under the GIL, so threads sharing a
+            # rule never see the memo mid-change.
+            if len(memo) > GEOMETRY_CAPACITY:
+                memo.popitem(last=False)
+        return geometry
+
+    def _scaled(self, tox: float) -> ScaledGeometry:
         scale = self.length_scale(tox)
         tech = self.technology
-        return ScaledGeometry(
+        lengths = dict(
             tox=tox,
             lgate_drawn=tech.lgate_drawn * scale,
             leff=tech.lgate_drawn * scale * tech.leff_ratio,
@@ -112,6 +145,10 @@ class ToxScalingRule:
             cell_height=tech.cell_height_ref * scale,
             cell_width=tech.cell_width_ref * scale,
         )
+        for value in lengths.values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+        return ScaledGeometry(**lengths)
 
     def cell_area(self, tox: float) -> float:
         """Return the 6T cell area (m^2) at oxide thickness ``tox`` (m).

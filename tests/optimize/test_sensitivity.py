@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cache.assignment import Assignment, knobs
+from repro.cache.assignment import COMPONENT_NAMES, Assignment, knobs
 from repro.errors import OptimizationError
 from repro.optimize.sensitivity import (
     KnobSensitivity,
@@ -32,6 +32,26 @@ class TestSensitivities:
     def test_moves_at_box_edge_skipped(self, l1_16k):
         sensitivities = knob_sensitivities(
             l1_16k, Assignment.uniform(knobs(0.5, 14))
+        )
+        assert sensitivities == []
+
+    def test_vth_move_landing_on_box_edge_taken(self, l1_16k, technology):
+        """0.45 V + 0.05 V is exactly ``vth_max``: inside the box."""
+        assert 0.45 + 0.05 == technology.vth_max
+        sensitivities = knob_sensitivities(
+            l1_16k, Assignment.uniform(knobs(0.45, 14)), vth_step=0.05
+        )
+        assert {(s.component, s.knob) for s in sensitivities} == {
+            (name, "vth") for name in COMPONENT_NAMES
+        }
+
+    def test_vth_move_beyond_box_edge_skipped(self, l1_16k, technology):
+        """A move landing 1e-13 V above ``vth_max`` leaves the box: the
+        design-box rule has no Vth slack."""
+        step = 0.05 + 1e-13
+        assert technology.vth_max < 0.45 + step < technology.vth_max + 1e-12
+        sensitivities = knob_sensitivities(
+            l1_16k, Assignment.uniform(knobs(0.45, 14)), vth_step=step
         )
         assert sensitivities == []
 

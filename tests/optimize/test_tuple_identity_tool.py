@@ -39,6 +39,8 @@ def outputs(tool):
         frontier + "knobs": np.array([[0.3, 1.2e-9], [0.35, 1.3e-9]]),
         "65itrs2x2a": np.array([1.1e-9, 1.2e-9]),
         "65itrs2x2e": np.array([4.0e-10, 3.5e-10]),
+        "65itrs-fill0-2x2a": np.array([1.1e-9, 1.2e-9]),
+        "65itrs-fill0-2x2e": np.array([3.9e-10, 3.4e-10]),
         tool.JOINT_KEY: np.array("MemorySystemDesign(...)"),
     }
 
@@ -52,7 +54,7 @@ def test_identical_files_compare_equal(tool, outputs, tmp_path, capsys):
     path = _write(tmp_path / "tree.npz", outputs)
     assert tool.compare(path, path) == 0
     assert ("identical: 1 component tables, 1 scheme solves, "
-            "1 Scheme I frontier, 1 curves and the joint design") in (
+            "1 Scheme I frontier, 2 curves and the joint design") in (
         capsys.readouterr().out
     )
 

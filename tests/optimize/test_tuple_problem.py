@@ -1,6 +1,8 @@
 """Figure 2 tuple problem."""
 
+import sys
 from itertools import combinations
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import units
 from repro.archsim.missmodel import calibrated_miss_model
+from repro.cache.assignment import COMPONENT_NAMES
 from repro.cache.cache_model import CacheModel
 from repro.cache.config import l1_config, l2_config
 from repro.energy.dynamic import MainMemoryModel
@@ -188,6 +191,28 @@ class TestValidation:
             )
 
 
+    @pytest.mark.parametrize("level", ["l1", "l2"])
+    @pytest.mark.parametrize("rate", [-0.01, float("nan")])
+    def test_rejects_bad_miss_rate(self, micro_space, level, rate):
+        miss_model = calibrated_miss_model("spec2000")
+        rates = {
+            "l1": lambda size: miss_model.l1_miss_rate(size),
+            "l2": lambda size: miss_model.l2_local_miss_rate(size),
+        }
+        rates[level] = lambda size: rate
+        with pytest.raises(ConfigurationError, match=f"{level} miss rate"):
+            solve_tuple_problem(
+                CacheModel(l1_config(8)),
+                CacheModel(l2_config(256)),
+                SimpleNamespace(
+                    l1_miss_rate=rates["l1"],
+                    l2_local_miss_rate=rates["l2"],
+                ),
+                budgets=(TupleBudget(1, 1),),
+                space=micro_space,
+            )
+
+
 class TestKernelAgainstOracle:
     """Figure 2's curves come out the same with the sort kernel as with
     the test-only pairwise oracle at every 3-column prune."""
@@ -321,11 +346,10 @@ class TestAgainstPerSubsetOracle:
             budgets,
         )
 
-    def test_one_subset_per_chunk(self, micro_space, monkeypatch):
-        """Chunking only bounds memory: a prune after every subset's
-        cloud, under a non-default memory and fill, gives the same
-        curves."""
-        monkeypatch.setattr(tuple_problem, "_CHUNK_ROWS", 1)
+    def test_one_subset_per_chunk(self, micro_space):
+        """The running front is extended after every subset's cloud, and
+        each subset is bounded against it: under a non-default memory
+        and fill the curves are still the oracle's."""
         budgets = (TupleBudget(1, 2), TupleBudget(2, 2), TupleBudget(2, 3))
         args = (
             CacheModel(l1_config(8)),
@@ -343,6 +367,125 @@ class TestAgainstPerSubsetOracle:
             ),
             budgets,
         )
+
+
+def _quantised_tables(n_points):
+    """One synthetic cache: every component's (delay, leakage, energy)
+    table drawn from a few small integers, so exact ties are common."""
+    column = st.lists(
+        st.integers(min_value=0, max_value=3).map(float),
+        min_size=n_points, max_size=n_points,
+    ).map(np.array)
+    table = st.builds(
+        lambda d, l, e: SimpleNamespace(delays=d, leakages=l, energies=e),
+        column, column, column,
+    )
+    return st.fixed_dictionaries({name: table for name in COMPONENT_NAMES})
+
+
+@st.composite
+def _synthetic_problems(draw):
+    """A 3x2 to 4x3 grid with synthetic tables for both caches, miss
+    rates and ``fill_factor`` at their ends included, a non-default
+    main memory, and one to four budgets that fit the grid."""
+    n_vth = draw(st.integers(min_value=3, max_value=4))
+    n_tox = draw(st.integers(min_value=2, max_value=3))
+    space = DesignSpace(
+        vth_values=tuple(np.linspace(0.2, 0.5, n_vth)),
+        tox_values_angstrom=tuple(np.linspace(10.0, 14.0, n_tox)),
+    )
+    rate = st.one_of(
+        st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0)
+    )
+    fitting = [
+        TupleBudget(n_tox=t, n_vth=v)
+        for t in range(1, n_tox + 1) for v in range(1, n_vth + 1)
+    ]
+    return SimpleNamespace(
+        space=space,
+        tables=[draw(_quantised_tables(n_vth * n_tox)) for _ in range(2)],
+        m1=draw(rate),
+        m2=draw(rate),
+        fill_factor=draw(st.sampled_from([0.0, 0.5, 1.0, 3.0])),
+        memory=MainMemoryModel(
+            latency=float(draw(st.integers(min_value=1, max_value=8))),
+            energy_per_access=float(draw(st.integers(0, 8))),
+        ),
+        budgets=tuple(draw(st.lists(
+            st.sampled_from(fitting), min_size=1, max_size=4
+        ))),
+    )
+
+
+class TestBoundedSolve:
+    """The bounds against the running front drop only what cannot reach
+    it: on tie-heavy synthetic tables the solve is the per-subset
+    oracle's, bit for bit, and on a real explore pair they do bite."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_synthetic_problems())
+    def test_matches_per_subset_oracle(self, problem):
+        models = [
+            SimpleNamespace(
+                tables=tables, config=SimpleNamespace(size_bytes=0)
+            )
+            for tables in problem.tables
+        ]
+        miss_model = SimpleNamespace(
+            l1_miss_rate=lambda size: problem.m1,
+            l2_local_miss_rate=lambda size: problem.m2,
+        )
+        with pytest.MonkeyPatch.context() as patch:
+            for module in (tuple_problem, sys.modules[__name__]):
+                patch.setattr(
+                    module, "component_tables",
+                    lambda model, space: model.tables,
+                )
+            options = {
+                "memory": problem.memory, "fill_factor": problem.fill_factor
+            }
+            _assert_same_curves(
+                solve_tuple_problem(
+                    *models, miss_model, budgets=problem.budgets,
+                    space=problem.space, **options,
+                ),
+                _per_subset_oracle(
+                    *models, miss_model, problem.budgets, problem.space,
+                    **options,
+                ),
+                problem.budgets,
+            )
+
+    def test_bounds_cut_work_on_explore_pair(self, monkeypatch):
+        """65 nm itrs, Figure 2's caches on ``fast_space``: without the
+        bounds every one of the 115 subsets is combined and 690
+        three-column prunes run."""
+        counts = {"prunes": 0, "combined": 0}
+
+        def counted(function, key):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return function(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(
+            tuple_problem, "pareto_indices",
+            counted(tuple_problem.pareto_indices, "prunes"),
+        )
+        monkeypatch.setattr(
+            tuple_problem, "_combine_system",
+            counted(tuple_problem._combine_system, "combined"),
+        )
+        technology = node_technology(65, "itrs")
+        solve_tuple_problem(
+            CacheModel(l1_config(16, associativity=2), technology=technology),
+            CacheModel(l2_config(1024, associativity=8),
+                       technology=technology),
+            calibrated_miss_model("spec2000"),
+            space=fast_space(technology),
+        )
+        assert 0 < counts["prunes"] < 690
+        assert 0 < counts["combined"] < 115
 
 
 def _subset_problems():
@@ -387,6 +530,11 @@ class TestSubsetFronts:
                 assert np.array_equal(np.flatnonzero(kept), expected)
 
     def test_rejects_nan(self):
-        costs = np.array([[1.0, np.nan, 1.0], [2.0, 2.0, 2.0]])
-        with pytest.raises(OptimizationError, match="NaN"):
-            tuple_problem._subset_fronts([costs], np.ones((1, 2), dtype=bool))
+        """NaN has no order, and the solve's bounds need every cost
+        finite and non-negative."""
+        for bad in (np.nan, np.inf, -np.inf, -1.0, -5e-324):
+            costs = np.array([[1.0, bad, 1.0], [2.0, 2.0, 2.0]])
+            with pytest.raises(OptimizationError, match="finite and >= 0"):
+                tuple_problem._subset_fronts(
+                    [costs], np.ones((1, 2), dtype=bool)
+                )

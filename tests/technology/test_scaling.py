@@ -1,10 +1,14 @@
 """Tox co-scaling rule (Section 2)."""
 
+import dataclasses
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from repro import units
 from repro.errors import TechnologyError
+from repro.technology import scaling
 from repro.technology.scaling import ScaledGeometry, ToxScalingRule
 
 
@@ -85,3 +89,60 @@ class TestWidthCoupling:
         assert rule.geometry(tox).width_scale == pytest.approx(
             rule.length_scale(tox)
         )
+
+
+LENGTHS = ("tox", "lgate_drawn", "leff", "width_scale", "cell_height",
+           "cell_width")
+
+
+class TestGeometryMemo:
+    """Each distinct Tox or Tox row is computed once per rule, and the
+    served geometry is the one a fresh rule computes, bit for bit."""
+
+    def test_scalar_served_once_and_identical(self, technology):
+        rule = ToxScalingRule(technology=technology)
+        tox = units.angstrom(12.5)
+        first = rule.geometry(tox)
+        assert rule.geometry(tox) is first
+        assert first == ToxScalingRule(technology=technology).geometry(tox)
+
+    def test_row_is_read_only_copy_matching_scalars(self, technology):
+        rule = ToxScalingRule(technology=technology)
+        row = np.array([[units.angstrom(a) for a in (10.0, 11.5, 14.0)]])
+        geometry = rule.geometry(row)
+        assert rule.geometry(row.copy()) is geometry
+        for name in LENGTHS:
+            value = getattr(geometry, name)
+            assert not value.flags.writeable
+            scalars = [getattr(rule.geometry(tox), name)
+                       for tox in row.ravel().tolist()]
+            assert np.array_equal(value.ravel(), scalars)
+        row[0, 0] = units.angstrom(12.0)
+        assert geometry.tox[0, 0] == units.angstrom(10.0)
+        assert rule.geometry(row) is not geometry
+
+    def test_value_types_kept_apart(self, technology):
+        rule = ToxScalingRule(technology=technology)
+        tox = units.angstrom(13.0)
+        assert type(rule.geometry(np.float64(tox)).tox) is np.float64
+        assert type(rule.geometry(tox).tox) is float
+
+    def test_memo_is_bounded(self, technology):
+        rule = ToxScalingRule(technology=technology)
+        toxes = [units.angstrom(10.0 + 0.01 * i)
+                 for i in range(scaling.GEOMETRY_CAPACITY + 1)]
+        first = rule.geometry(toxes[0])
+        for tox in toxes[1:]:
+            rule.geometry(tox)
+        assert len(rule._geometries) == scaling.GEOMETRY_CAPACITY
+        assert rule.geometry(toxes[0]) is not first
+        assert rule.geometry(toxes[0]) == first
+
+    def test_memo_outside_equality_and_repr(self, technology):
+        used = ToxScalingRule(technology=technology)
+        used.geometry(units.angstrom(12.0))
+        fresh = ToxScalingRule(technology=technology)
+        assert used == fresh and hash(used) == hash(fresh)
+        assert repr(used) == repr(fresh)
+        assert [f.name for f in dataclasses.fields(used)] == [
+            "technology", "length_exponent"]

@@ -21,7 +21,10 @@ Write the reference outputs of one source tree, then compare two trees:
   ``best_achievable`` alone if infeasible — plus the Scheme I
   ``leakage_delay_frontier`` of the 65 nm L1 with every point's knobs;
 * the tuple problem on E9's grid (both caches on the node's
-  ``fast_space``, the five Figure 2 budgets: 70 (AMAT, energy) curves);
+  ``fast_space``, the five Figure 2 budgets: 70 (AMAT, energy) curves),
+  plus, at 65 nm ``itrs`` and 8 nm ``cons``, the same budgets with
+  ``fill_factor=0.0``, with an 80 ns / 10 nJ main memory, and on the
+  solver's default ``coarse_space`` (30 more curves);
 * ``repr(optimize_memory_system(spec2000, 1500 ps))``, the joint
   optimiser's design.
 
@@ -29,7 +32,7 @@ Write the reference outputs of one source tree, then compare two trees:
 array is ``np.array_equal``.  Any change to the device, circuit or
 component models, ``repro.optimize.pareto``,
 ``repro.optimize.single_cache`` or ``repro.optimize.tuple_problem``
-must pass it against the parent tree (5–12 s per tree).
+must pass it against the parent tree (10–20 s per tree).
 """
 
 from __future__ import annotations
@@ -50,6 +53,8 @@ SOLVE_PREFIX = "scheme/solve/"
 FRONTIER_PREFIX = "scheme/frontier/"
 #: Access-time slacks over the fastest uniform design.
 SLACKS = (0.0, 0.01, 0.05, 0.2, 0.5, 1.0, 100.0)
+#: E9 pairs whose tuple problem is also solved under :data:`VARIANTS`.
+VARIANT_PAIRS = ((65, "itrs"), (8, "cons"))
 
 
 def _tables(out: Dict[str, np.ndarray], label: str, l1, l2,
@@ -110,15 +115,32 @@ def _frontier(out: Dict[str, np.ndarray], l1) -> None:
     out[key + "knobs"] = np.array([_knobs(a) for a in assignments])
 
 
+def _curves(out: Dict[str, np.ndarray], label: str, technology, miss,
+            **options) -> None:
+    """Record Figure 2's curves for the 16 KB L1 and 1 MB L2; ``options``
+    go to ``solve_tuple_problem`` (its default space if none given)."""
+    from repro.cache.cache_model import CacheModel
+    from repro.cache.config import l1_config, l2_config
+    from repro.optimize.tuple_problem import solve_tuple_problem
+
+    curves = solve_tuple_problem(
+        CacheModel(l1_config(16), technology=technology),
+        CacheModel(l2_config(1024), technology=technology),
+        miss, **options)
+    for budget, curve in curves.items():
+        key = f"{label}{budget.n_tox}x{budget.n_vth}"
+        out[key + "a"], out[key + "e"] = curve.amats, curve.energies
+
+
 def collect() -> Dict[str, np.ndarray]:
     """Solve the checked problems; returns key -> array."""
     from repro import units
     from repro.archsim.missmodel import calibrated_miss_model
     from repro.cache.cache_model import CacheModel
     from repro.cache.config import l1_config, l2_config
+    from repro.energy.dynamic import MainMemoryModel
     from repro.experiments.figure2 import fast_space
     from repro.optimize.joint import optimize_memory_system
-    from repro.optimize.tuple_problem import solve_tuple_problem
     from repro.technology.nodes import NODES, SCALING_STYLES, node_technology
 
     miss = calibrated_miss_model("spec2000")
@@ -143,13 +165,19 @@ def collect() -> Dict[str, np.ndarray]:
     for style in SCALING_STYLES:
         for node in NODES:
             technology = node_technology(node, style)
-            curves = solve_tuple_problem(
-                CacheModel(l1_config(16), technology=technology),
-                CacheModel(l2_config(1024), technology=technology),
-                miss, space=fast_space(technology))
-            for budget, curve in curves.items():
-                key = f"{node}{style}{budget.n_tox}x{budget.n_vth}"
-                out[key + "a"], out[key + "e"] = curve.amats, curve.energies
+            _curves(out, f"{node}{style}", technology, miss,
+                    space=fast_space(technology))
+    for node, style in VARIANT_PAIRS:
+        technology = node_technology(node, style)
+        for variant, options in (
+            ("fill0", {"space": fast_space(technology), "fill_factor": 0.0}),
+            ("mem80ns", {"space": fast_space(technology),
+                         "memory": MainMemoryModel(latency=80e-9,
+                                                   energy_per_access=10e-9)}),
+            ("coarse", {}),
+        ):
+            _curves(out, f"{node}{style}-{variant}-", technology, miss,
+                    **options)
     out[JOINT_KEY] = np.array(
         repr(optimize_memory_system(miss, units.ps(1500))))
     return out
